@@ -8,7 +8,9 @@
 // Benchmarks take the thread count as the trailing benchmark argument and
 // set it on the global pool, so one run sweeps the scaling curve. Results
 // (ciphertexts, shares, probabilities) are bit-identical across thread
-// counts by construction — the sweep shows wall-clock only.
+// counts by construction — the sweep shows wall-clock only. Every bench
+// reports wall time (UseRealTime): the calling thread's CPU time would
+// credit the workers' share of the job as a speedup.
 
 #include <benchmark/benchmark.h>
 
@@ -46,7 +48,7 @@ void BM_ParallelForDispatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kN));
 }
-BENCHMARK(BM_ParallelForDispatch)->Apply(ThreadArgs);
+BENCHMARK(BM_ParallelForDispatch)->Apply(ThreadArgs)->UseRealTime();
 
 void BM_ParallelPaillierBatch(benchmark::State& state) {
   // The tentpole path: batch of 32 Paillier encryptions, randomizers drawn
@@ -63,7 +65,7 @@ void BM_ParallelPaillierBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(plain.size()));
 }
-BENCHMARK(BM_ParallelPaillierBatch)->Apply(ThreadArgs)
+BENCHMARK(BM_ParallelPaillierBatch)->Apply(ThreadArgs)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ParallelHomomorphicSum(benchmark::State& state) {
@@ -83,7 +85,7 @@ void BM_ParallelHomomorphicSum(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_ParallelHomomorphicSum)->Apply(ThreadArgs)
+BENCHMARK(BM_ParallelHomomorphicSum)->Apply(ThreadArgs)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ParallelEmEstep(benchmark::State& state) {
@@ -103,7 +105,7 @@ void BM_ParallelEmEstep(benchmark::State& state) {
     benchmark::DoNotOptimize(LearnInfluenceEm(graph, log, cfg).ValueOrDie());
   }
 }
-BENCHMARK(BM_ParallelEmEstep)->Apply(ThreadArgs)
+BENCHMARK(BM_ParallelEmEstep)->Apply(ThreadArgs)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

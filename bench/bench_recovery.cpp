@@ -32,7 +32,7 @@
 #include "influence/link_influence.h"
 #include "mpc/link_influence_protocol.h"
 #include "mpc/session.h"
-#include "net/fault.h"
+#include "net/fault_injector.h"
 
 namespace psi {
 namespace bench {
@@ -147,7 +147,8 @@ int Run() {
   const World& w = *world;
 
   RetryPolicy no_fault_policy;  // Defaults: resume on, 3 attempts.
-  FaultyNetwork clean(FaultPlan::None());
+  Network clean;
+  clean.AttachFaultInjector(FaultPlan::None());
   RunOutcome control = RunP4Session(w, &clean, no_fault_policy);
   if (!control.result.ok()) {
     std::fprintf(stderr, "FAIL: fault-free control run: %s\n",
@@ -165,7 +166,8 @@ int Run() {
   uint64_t crash_after = 0;
   bool found = false;
   for (uint64_t after = 1; after <= 10 && !found; ++after) {
-    FaultyNetwork net(CrashOnlyPlan(/*party=*/1, after, after + 3));
+    Network net;
+    net.AttachFaultInjector(CrashOnlyPlan(/*party=*/1, after, after + 3));
     RunOutcome attempt = RunP4Session(w, &net, resume_policy);
     std::fprintf(stderr,
                  "probe after=%" PRIu64 ": ok=%d resumes=%u saved=%" PRIu64
@@ -191,7 +193,8 @@ int Run() {
 
   RetryPolicy restart_policy = resume_policy;
   restart_policy.resume_from_checkpoint = false;
-  FaultyNetwork net(CrashOnlyPlan(/*party=*/1, crash_after, crash_after + 3));
+  Network net;
+  net.AttachFaultInjector(CrashOnlyPlan(/*party=*/1, crash_after, crash_after + 3));
   RunOutcome full = RunP4Session(w, &net, restart_policy);
 
   std::printf(

@@ -109,6 +109,9 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
+  // One job slot: a second external caller waits here until the first
+  // caller's job has fully drained, instead of overwriting job_ mid-run.
+  std::lock_guard<std::mutex> submit(submit_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     job_.fn = &fn;

@@ -17,6 +17,8 @@
 //     bit-identical under PSI_THREADS=1 vs PSI_THREADS=8.
 //   * The first exception thrown by any fn is rethrown in the calling
 //     thread after all workers finish; remaining indices still run.
+//   * Any number of threads may call ParallelFor at once: external callers
+//     take turns on the one job slot, each job running to completion.
 //
 // The pool size comes from the PSI_THREADS environment variable when set
 // (clamped to [1, 64]), else std::thread::hardware_concurrency(). Nested
@@ -98,6 +100,9 @@ class ThreadPool {
   size_t num_threads_ = 1;
   std::vector<std::thread> workers_;
 
+  // Serializes external ParallelFor callers (held for a whole job); never
+  // taken on the serial or nested paths.
+  std::mutex submit_mu_;
   std::mutex mu_;
   std::condition_variable job_ready_;
   std::condition_variable job_done_;

@@ -95,7 +95,7 @@ struct RetryPolicy {
   uint32_t max_attempts = 3;
   /// Rounds waited before retry r is base << (r-2), capped below. Each
   /// waited round is a real BeginRound, so crash-restart windows measured
-  /// in rounds (net/fault.h) make progress while the session waits.
+  /// in rounds (net/fault_injector.h) make progress while the session waits.
   uint64_t backoff_rounds_base = 1;
   uint64_t backoff_rounds_cap = 8;
   /// Extra rounds drawn uniformly from [0, jitter] per retry, from a stream

@@ -31,6 +31,7 @@
 #ifndef PSI_NET_DAEMON_H_
 #define PSI_NET_DAEMON_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -171,7 +172,7 @@ class PsidDaemon {
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   int stop_pipe_[2] = {-1, -1};
-  bool stop_requested_ = false;
+  std::atomic<bool> stop_requested_{false};  // Written by Stop() on any thread.
   std::vector<Conn> conns_;
 };
 

@@ -78,8 +78,9 @@ std::vector<uint8_t> SealEnvelope(ProtocolId protocol_id, uint16_t step,
 [[nodiscard]] Result<Envelope> OpenEnvelope(const std::vector<uint8_t>& frame);
 
 /// \brief Cheap peek at the sequence number of a sealed frame (no checksum
-/// verification); used by fault layers to index retransmission stores.
-/// Returns SerializationError if the buffer is too short or mistagged.
+/// verification); the socket transport uses it to match exec results to
+/// their calls. Returns SerializationError if the buffer is too short or
+/// mistagged.
 [[nodiscard]] Result<uint64_t> PeekEnvelopeSeq(const std::vector<uint8_t>& frame);
 
 }  // namespace psi

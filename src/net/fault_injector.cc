@@ -1,9 +1,6 @@
 #include "net/fault_injector.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "net/envelope.h"
 
 namespace psi {
 
@@ -128,45 +125,42 @@ FaultInjector::Verdict FaultInjector::OnTransmit(uint64_t round, PartyId from,
   Verdict verdict;
   if (Crashed(from, round)) {
     ++stats_.crash_dropped;
-    verdict.action = Action::kSwallow;  // The receiver sees only silence.
+    verdict.copies = 0;  // The receiver sees only silence.
     return verdict;
   }
   ++stats_.transmitted;
-  sent_log_[{from, to}].push_back(frame);  // Pristine copy, pre-fault.
   const int rule = Decide(round, from, to);
-  if (rule < 0) {
-    verdict.frame = std::move(frame);
-    return verdict;
+  if (rule >= 0) {
+    const FaultKind kind = plan_.rules[static_cast<size_t>(rule)].kind;
+    switch (kind) {
+      case FaultKind::kDrop:
+        ++stats_.dropped;
+        verdict.copies = 0;
+        return verdict;
+      case FaultKind::kDuplicate:
+        ++stats_.duplicated;
+        verdict.copies = 2;
+        break;
+      case FaultKind::kReorder:
+        ++stats_.reordered;
+        verdict.front = true;
+        break;
+      case FaultKind::kCorrupt:
+        ++stats_.corrupted;
+        frame = Mutate(kind, std::move(frame));
+        break;
+      case FaultKind::kTruncate:
+        ++stats_.truncated;
+        frame = Mutate(kind, std::move(frame));
+        break;
+      case FaultKind::kDelay:
+        ++stats_.delayed;
+        delayed_.emplace_back(ChannelKey{from, to}, std::move(frame));
+        verdict.copies = 0;
+        return verdict;
+    }
   }
-  switch (plan_.rules[static_cast<size_t>(rule)].kind) {
-    case FaultKind::kDrop:
-      ++stats_.dropped;
-      verdict.action = Action::kSwallow;
-      return verdict;
-    case FaultKind::kDuplicate:
-      ++stats_.duplicated;
-      verdict.action = Action::kDeliverTwice;
-      verdict.frame = std::move(frame);
-      return verdict;
-    case FaultKind::kReorder:
-      ++stats_.reordered;
-      verdict.action = Action::kDeliverFront;
-      verdict.frame = std::move(frame);
-      return verdict;
-    case FaultKind::kCorrupt:
-      ++stats_.corrupted;
-      verdict.frame = Mutate(FaultKind::kCorrupt, std::move(frame));
-      return verdict;
-    case FaultKind::kTruncate:
-      ++stats_.truncated;
-      verdict.frame = Mutate(FaultKind::kTruncate, std::move(frame));
-      return verdict;
-    case FaultKind::kDelay:
-      ++stats_.delayed;
-      delayed_.emplace_back(ChannelKey{from, to}, std::move(frame));
-      verdict.action = Action::kSwallow;
-      return verdict;
-  }
+  verdict.frame = std::move(frame);
   return verdict;
 }
 
@@ -177,55 +171,24 @@ FaultInjector::TakeDelayed() {
   return due;
 }
 
-FaultInjector::Retransmission FaultInjector::OnRetransmit(
-    uint64_t round, PartyId to, PartyId from, uint64_t seq,
-    const std::string& channel, const std::string& sender) {
-  Retransmission out;
-  if (Crashed(from, round)) {
-    ++stats_.retransmits_refused;
-    out.result = Status::FailedPrecondition(
-        "retransmit refused: " + sender + " crashed after round " +
-        std::to_string(plan_.crash->after_round));
-    return out;
+Result<std::vector<uint8_t>> FaultInjector::OnRetransmit(
+    uint64_t round, PartyId from, PartyId to, const std::vector<uint8_t>& pristine,
+    const std::string& channel) {
+  ++stats_.retransmits_served;
+  // Bounded attempts in RecvValidated guarantee termination however often
+  // the pipeline strikes a retransmission.
+  const int rule = Decide(round, from, to);
+  if (rule < 0) return pristine;
+  const FaultKind kind = plan_.rules[static_cast<size_t>(rule)].kind;
+  if (kind == FaultKind::kDrop || kind == FaultKind::kDelay) {
+    ++(kind == FaultKind::kDrop ? stats_.dropped : stats_.delayed);
+    return Status::FailedPrecondition("retransmitted frame lost on " + channel);
   }
-  auto it = sent_log_.find({from, to});
-  if (it != sent_log_.end()) {
-    for (const auto& frame : it->second) {
-      auto peeked = PeekEnvelopeSeq(frame);
-      if (!peeked.ok() || peeked.ValueOrDie() != seq) continue;
-      // A retransmission travels the same unreliable wire: the transport
-      // meters it like any other message and the fault pipeline gets
-      // another shot at it. Bounded attempts in RecvValidated guarantee
-      // termination.
-      ++stats_.retransmits_served;
-      out.wire_bytes = frame.size();
-      out.payload_bytes = frame.size() - kEnvelopeOverheadBytes;
-      const int rule = Decide(round, from, to);
-      if (rule >= 0) {
-        const FaultKind kind = plan_.rules[static_cast<size_t>(rule)].kind;
-        if (kind == FaultKind::kDrop || kind == FaultKind::kDelay) {
-          ++(kind == FaultKind::kDrop ? stats_.dropped : stats_.delayed);
-          out.result = Status::FailedPrecondition(
-              "retransmitted frame lost on " + channel);
-          return out;
-        }
-        if (kind == FaultKind::kCorrupt || kind == FaultKind::kTruncate) {
-          ++(kind == FaultKind::kCorrupt ? stats_.corrupted
-                                         : stats_.truncated);
-          out.result = Mutate(kind, frame);
-          return out;
-        }
-        // Duplicate / reorder have no meaning for a direct hand-back.
-      }
-      out.result = frame;
-      return out;
-    }
+  if (kind == FaultKind::kCorrupt || kind == FaultKind::kTruncate) {
+    ++(kind == FaultKind::kCorrupt ? stats_.corrupted : stats_.truncated);
+    return Mutate(kind, pristine);
   }
-  ++stats_.retransmits_refused;
-  out.result = Status::FailedPrecondition(
-      "retransmit refused: no frame with seq " + std::to_string(seq) +
-      " was ever sent on " + channel);
-  return out;
+  return pristine;  // Duplicate / reorder mean nothing for a hand-back.
 }
 
 }  // namespace psi

@@ -1,23 +1,21 @@
-// Backend-agnostic deterministic fault injection: the decision/mutation
-// engine shared by every transport decorator.
+// Deterministic fault injection for every transport backend.
 //
-// FaultInjector owns the seeded RNG, the fault plan, the pristine
-// retransmission store and the fault counters, but touches no mailbox and
-// no socket: each transport (the in-process simulator via FaultyNetwork in
-// net/fault.h, the loopback socket transport via SocketNetwork's chaos
-// hook) feeds outgoing frames through OnTransmit and interprets the
-// returned Verdict with its own delivery primitives. Because every RNG
-// draw happens inside this class, in the exact order the original
-// FaultyNetwork drew them, a given (plan, message sequence) produces the
-// same fault schedule on every backend — which is what lets the chaos
-// harness run one plan over both the simulator and real sockets and demand
-// identical behavior.
+// FaultInjector owns the seeded RNG, the fault plan and the fault counters,
+// but touches no mailbox, no socket and no frame log: Network (which keeps
+// the one pristine retransmit log) feeds each outgoing frame through
+// OnTransmit and each served retransmission through OnRetransmit, and
+// hands what survives to the backend's Transmit hook. Because every RNG
+// draw happens inside this class, a given (plan, message sequence)
+// produces the same fault schedule on the simulator and over sockets. The
+// chaos invariant the test suite enforces on top (docs/FAULTS.md): a
+// protocol driver run under ANY fault schedule either produces exactly the
+// fault-free result or terminates promptly with a clean non-OK Status —
+// never a wrong answer, a crash, or a hang.
 
 #ifndef PSI_NET_FAULT_INJECTOR_H_
 #define PSI_NET_FAULT_INJECTOR_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -56,15 +54,16 @@ struct FaultRule {
 };
 
 /// \brief A party that stops participating after a given round: all its
-/// transmissions (including retransmissions) are lost while it is down.
+/// transmissions (including retransmissions) are lost while it is down, and
+/// frames it sent while down are never retained for retransmission.
 ///
 /// With the default `restart_round` the crash is permanent. A finite
 /// `restart_round` models crash-*restart*: the party is down for round
 /// indices in (after_round, restart_round) and rejoins from `restart_round`
 /// on — having lost its volatile state, which is exactly the failure a
 /// checkpointed ProtocolSession (mpc/session.h) recovers from. Restarting
-/// parties keep their retransmission store (it models durable storage, like
-/// the session checkpoint).
+/// parties keep the frames they sent before the crash retained for
+/// retransmission (durable storage, like the session checkpoint).
 struct CrashSpec {
   PartyId party = kAnyParty;
   uint64_t after_round = 0;  ///< Down in every round index > after_round...
@@ -77,8 +76,8 @@ struct FaultPlan {
   std::vector<FaultRule> rules;
   std::optional<CrashSpec> crash;
 
-  /// \brief The all-zero plan: the decorated transport behaves exactly like
-  /// its lossless base.
+  /// \brief The all-zero plan: a network running it behaves exactly like
+  /// one without an injector.
   static FaultPlan None() { return FaultPlan{}; }
 
   /// \brief A randomized chaos schedule: 1-3 rules with random kinds,
@@ -118,49 +117,37 @@ class FaultInjector {
   /// \brief Channel key (from, to), mirroring Network's internal key.
   using ChannelKey = std::pair<PartyId, PartyId>;
 
-  /// \brief What the transport must do with the frame OnTransmit returns.
-  enum class Action : uint8_t {
-    kDeliver = 0,   ///< Deliver normally (possibly mutated).
-    kDeliverFront,  ///< Deliver jumped ahead of the channel queue (reorder).
-    kDeliverTwice,  ///< Deliver two identical copies back to back.
-    kSwallow,       ///< Nothing to deliver: dropped, crashed, or held.
-  };
-
+  /// \brief What Network must do with a frame: deliver `copies`
+  /// identical copies of `frame` (0: dropped, crashed or held; 2:
+  /// duplicated), ahead of the channel queue when `front` (reordered).
   struct Verdict {
-    Action action = Action::kDeliver;
-    std::vector<uint8_t> frame;  ///< Empty when action == kSwallow.
-  };
-
-  /// \brief Outcome of a retransmission request. When `wire_bytes` is
-  /// nonzero a pristine frame was served (and possibly re-faulted): the
-  /// transport must meter it as a fresh send before acting on `result`.
-  struct Retransmission {
-    size_t wire_bytes = 0;
-    size_t payload_bytes = 0;
-    Result<std::vector<uint8_t>> result =
-        Result<std::vector<uint8_t>>(std::vector<uint8_t>{});
+    int copies = 1;
+    bool front = false;
+    std::vector<uint8_t> frame;  ///< Possibly mutated; empty when copies == 0.
   };
 
   explicit FaultInjector(FaultPlan plan);
 
   /// \brief Runs one outgoing frame through the pipeline: crash check,
-  /// pristine logging, rule matching, mutation. `round` is the transport's
-  /// current round index. RNG draw order is part of this function's
-  /// contract — see the file comment.
+  /// rule matching, mutation. `round` is the network's current round
+  /// index. RNG draw order is part of this function's contract — see the
+  /// file comment.
   Verdict OnTransmit(uint64_t round, PartyId from, PartyId to,
                      std::vector<uint8_t> frame);
 
-  /// \brief Serves a retransmission request from the pristine store,
-  /// re-running the fault pipeline on the copy (a retransmission travels
-  /// the same unreliable wire). Refused when the sender is crashed at
-  /// `round` or the frame was never sent. `channel` and `sender` are
-  /// display strings for error messages (e.g. "P1 -> H", "P1").
-  Retransmission OnRetransmit(uint64_t round, PartyId to, PartyId from,
-                              uint64_t seq, const std::string& channel,
-                              const std::string& sender);
+  /// \brief Re-runs the pipeline on a retransmitted `pristine` copy (a
+  /// retransmission travels the same unreliable wire): a drop or delay
+  /// loses it, a corrupt or truncate damages it. The caller has already
+  /// checked that the sender is up. `channel` names the channel in errors.
+  [[nodiscard]] Result<std::vector<uint8_t>> OnRetransmit(
+      uint64_t round, PartyId from, PartyId to, const std::vector<uint8_t>& pristine,
+      const std::string& channel);
+
+  /// \brief Counts a retransmission request Network refused.
+  void OnRetransmitRefused() { ++stats_.retransmits_refused; }
 
   /// \brief Frames whose kDelay hold expires now, in original send order.
-  /// The transport calls this at every round boundary and delivers them
+  /// Network calls this at every round boundary and delivers them
   /// before the round's own traffic.
   std::vector<std::pair<ChannelKey, std::vector<uint8_t>>> TakeDelayed();
 
@@ -179,8 +166,6 @@ class FaultInjector {
   Rng rng_;
   FaultStats stats_;
   std::vector<uint32_t> triggers_used_;  // Parallel to plan_.rules.
-  // Pristine copies of every frame, per channel, for retransmission.
-  std::map<ChannelKey, std::vector<std::vector<uint8_t>>> sent_log_;
   // Frames held by kDelay until the next round boundary.
   std::vector<std::pair<ChannelKey, std::vector<uint8_t>>> delayed_;
 };

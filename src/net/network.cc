@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "net/fault_injector.h"
+
 namespace psi {
 
 std::string TrafficReport::ToString() const {
@@ -29,6 +31,9 @@ std::string TrafficReport::ToString() const {
   return out;
 }
 
+Network::Network() = default;
+Network::~Network() = default;
+
 PartyId Network::RegisterParty(std::string name) {
   names_.push_back(std::move(name));
   bytes_sent_by_.push_back(0);
@@ -36,6 +41,13 @@ PartyId Network::RegisterParty(std::string name) {
 }
 
 void Network::BeginRound(std::string label) {
+  if (injector_ != nullptr) {
+    // Delayed frames surface into the local mailbox on every backend, so
+    // the release point never depends on daemon scheduling.
+    for (auto& [key, frame] : injector_->TakeDelayed()) {
+      Deliver(key.first, key.second, std::move(frame));
+    }
+  }
   rounds_.push_back(RoundStats{std::move(label), 0, 0, 0});
   if (round_observer_) {
     round_observer_(rounds_.back().label, rounds_.size() - 1);
@@ -44,6 +56,18 @@ void Network::BeginRound(std::string label) {
 
 void Network::SetRoundObserver(RoundObserver observer) {
   round_observer_ = std::move(observer);
+}
+
+void Network::AttachFaultInjector(FaultPlan plan) {
+  injector_ = std::make_unique<FaultInjector>(std::move(plan));
+}
+
+const FaultStats* Network::fault_stats() const {
+  return injector_ != nullptr ? &injector_->stats() : nullptr;
+}
+
+bool Network::Crashed(PartyId party) const {
+  return injector_ != nullptr && injector_->Crashed(party, RoundIndex());
 }
 
 const std::string& Network::CurrentRoundLabel() const {
@@ -89,27 +113,45 @@ void Network::Deliver(PartyId from, PartyId to, std::vector<uint8_t> frame,
   }
 }
 
-Status Network::Transmit(PartyId from, PartyId to,
+Status Network::Transmit(PartyId from, PartyId to, std::vector<uint8_t> frame,
+                         bool front) {
+  Deliver(from, to, std::move(frame), front);
+  return Status::OK();
+}
+
+Status Network::Dispatch(PartyId from, PartyId to,
                          std::vector<uint8_t> frame) {
-  Deliver(from, to, std::move(frame));
+  if (injector_ == nullptr) return Transmit(from, to, std::move(frame), false);
+  FaultInjector::Verdict verdict =
+      injector_->OnTransmit(RoundIndex(), from, to, std::move(frame));
+  for (int copy = 0; copy < verdict.copies; ++copy) {
+    std::vector<uint8_t> sent = copy + 1 < verdict.copies
+                                    ? verdict.frame
+                                    : std::move(verdict.frame);
+    PSI_RETURN_NOT_OK(Transmit(from, to, std::move(sent), verdict.front));
+  }
   return Status::OK();
 }
 
 Status Network::Send(PartyId from, PartyId to, std::vector<uint8_t> payload) {
   PSI_RETURN_NOT_OK(CheckSendArgs(from, to));
   MeterSend(from, payload.size(), payload.size());
-  return Transmit(from, to, std::move(payload));
+  return Dispatch(from, to, std::move(payload));
 }
 
 Status Network::SendFramed(PartyId from, PartyId to, ProtocolId protocol_id,
                            uint16_t step,
                            const std::vector<uint8_t>& payload) {
   PSI_RETURN_NOT_OK(CheckSendArgs(from, to));
-  uint64_t seq = send_seq_[{from, to}]++;
+  const ChannelKey key{from, to};
+  uint64_t seq = send_seq_[key]++;
   std::vector<uint8_t> frame =
       SealEnvelope(protocol_id, step, from, seq, payload);
   MeterSend(from, frame.size(), payload.size());
-  return Transmit(from, to, std::move(frame));
+  // A frame a crash silences never reaches the log, so no retransmission
+  // can resurrect it after the restart.
+  if (!Crashed(from)) retained_[key].emplace(seq, frame);
+  return Dispatch(from, to, std::move(frame));
 }
 
 Result<std::vector<uint8_t>> Network::Recv(PartyId to, PartyId from) {
@@ -130,10 +172,27 @@ Result<std::vector<uint8_t>> Network::Recv(PartyId to, PartyId from) {
 Result<std::vector<uint8_t>> Network::RequestRetransmit(PartyId to,
                                                         PartyId from,
                                                         uint64_t seq) {
-  (void)seq;
-  return Status::FailedPrecondition(
-      "retransmission unavailable on the lossless network for " +
-      DescribeChannel(from, to));
+  if (Crashed(from)) {
+    injector_->OnRetransmitRefused();
+    return Status::FailedPrecondition(
+        "retransmit refused: " + party_name(from) + " crashed after round " +
+        std::to_string(injector_->plan().crash->after_round));
+  }
+  auto& frames = retained_[{from, to}];
+  auto it = frames.find(seq);
+  if (it == frames.end()) {
+    if (injector_ != nullptr) injector_->OnRetransmitRefused();
+    return Status::FailedPrecondition(
+        "retransmit refused: no frame with seq " + std::to_string(seq) +
+        " is retained on " + DescribeChannel(from, to));
+  }
+  const std::vector<uint8_t>& pristine = it->second;
+  // A retransmission is a fresh transit of the frame: metered like any
+  // send and, under a fault plan, exposed to the same unreliable wire.
+  MeterSend(from, pristine.size(), pristine.size() - kEnvelopeOverheadBytes);
+  if (injector_ == nullptr) return pristine;
+  return injector_->OnRetransmit(RoundIndex(), from, to, pristine,
+                                 DescribeChannel(from, to));
 }
 
 Status Network::WaitForPending(PartyId to, PartyId from, uint64_t budget_ms) {
@@ -153,6 +212,7 @@ Result<std::vector<uint8_t>> Network::RecvValidated(PartyId to, PartyId from,
   const ChannelKey key{from, to};
   uint64_t& expected = recv_seq_[key];
   auto& stash = stash_[key];
+  auto& retained = retained_[key];
   std::string last_error = "no message pending";
   // Attempts meter transport work (receives, retransmission requests,
   // damaged frames). Stale duplicates are free to discard but bounded
@@ -247,6 +307,7 @@ Result<std::vector<uint8_t>> Network::RecvValidated(PartyId to, PartyId from,
           std::to_string(env->step) + " on " + DescribeChannel(from, to) +
           " in round '" + CurrentRoundLabel() + "'");
     }
+    retained.erase(expected);  // Accepted: no one will ask for it again.
     ++expected;
     return std::move(env->payload);
   }
@@ -302,11 +363,18 @@ void Network::ResyncChannel(PartyId from, PartyId to) {
   const ChannelKey key{from, to};
   recv_seq_[key] = send_seq_[key];
   stash_[key].clear();
+  retained_[key].clear();  // Everything below the new expected is skipped.
 }
 
 size_t Network::StashedCount(PartyId from, PartyId to) const {
   auto it = stash_.find({from, to});
   return it == stash_.end() ? 0 : it->second.size();
+}
+
+size_t Network::RetainedFrameCount() const {
+  size_t count = 0;
+  for (const auto& [key, frames] : retained_) count += frames.size();
+  return count;
 }
 
 TrafficReport Network::Report() const {

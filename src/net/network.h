@@ -15,8 +15,15 @@
 //    hands a corrupt, truncated, duplicated, reordered or mistagged frame to
 //    a protocol decoder: it discards stale duplicates, stashes early frames,
 //    requests bounded retransmission of missing/damaged ones, and returns a
-//    clean ProtocolError when the channel cannot be repaired. Fault
-//    injection layers (net/fault.h) override the virtual hooks.
+//    clean ProtocolError when the channel cannot be repaired.
+//
+// Recovery lives here once, for every backend. SendFramed keeps a pristine
+// copy of each frame until the receiver accepts its sequence number (or a
+// session resume skips past it), and RequestRetransmit serves from that
+// bounded log. AttachFaultInjector routes every later send through a
+// seeded FaultInjector (net/fault_injector.h), so one chaos plan drives the
+// simulator and the socket transport alike. Backends override only the
+// Transmit hook that moves an already-faulted frame toward its mailbox.
 
 #ifndef PSI_NET_NETWORK_H_
 #define PSI_NET_NETWORK_H_
@@ -25,6 +32,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +43,10 @@ namespace psi {
 
 /// \brief Dense party identifier assigned by Network::RegisterParty.
 using PartyId = uint32_t;
+
+class FaultInjector;
+struct FaultPlan;
+struct FaultStats;
 
 /// \brief Traffic recorded for one communication round.
 struct RoundStats {
@@ -92,8 +104,8 @@ struct RecvOptions {
 /// \brief Simulated message-passing network with exact byte metering.
 class Network {
  public:
-  Network() = default;
-  virtual ~Network() = default;
+  Network();
+  virtual ~Network();
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -114,8 +126,17 @@ class Network {
   /// \brief Opens a new communication round. All sends until the next
   /// BeginRound are accounted to this round. Rounds model the paper's
   /// definition: a stage where players send messages and the protocol
-  /// proceeds only once all are delivered.
-  virtual void BeginRound(std::string label);
+  /// proceeds only once all are delivered. Frames a fault plan delayed
+  /// surface here, before any of the round's own traffic.
+  void BeginRound(std::string label);
+
+  /// \brief Routes every later send (and retransmission) through a seeded
+  /// FaultInjector running `plan`. Works the same on every backend, so one
+  /// chaos plan yields one fault schedule on the simulator and over sockets.
+  void AttachFaultInjector(FaultPlan plan);
+
+  /// \brief What the attached injector did, or nullptr when none is.
+  const FaultStats* fault_stats() const;
 
   /// \brief Sends a raw `payload` from `from` to `to` (metered).
   [[nodiscard]] Status Send(PartyId from, PartyId to, std::vector<uint8_t> payload);
@@ -134,20 +155,24 @@ class Network {
   /// \brief Receives the next in-sequence framed message on (from -> to),
   /// validating magic, checksum, sender, protocol id and step tag before
   /// returning the payload. Damaged or missing frames trigger bounded
-  /// retransmission requests (served only by fault-injection networks that
-  /// keep pristine copies); stale duplicates are discarded; early frames are
-  /// stashed for later calls. Exhausting `opts.max_attempts` yields a
-  /// ProtocolError — never a hang and never a corrupt payload.
+  /// retransmission requests for the expected sequence number; stale
+  /// duplicates are discarded; early frames are stashed for later calls.
+  /// Accepting a frame drops its pristine copy from the retransmit log.
+  /// Exhausting `opts.max_attempts` yields a ProtocolError — never a hang
+  /// and never a corrupt payload.
   [[nodiscard]] Result<std::vector<uint8_t>> RecvValidated(PartyId to, PartyId from,
                                              ProtocolId protocol_id,
                                              uint16_t step,
                                              const RecvOptions& opts = {});
 
   /// \brief Asks the transport to re-deliver the framed message with
-  /// sequence number `seq` on channel (from -> to). The lossless base
-  /// network keeps no copies (nothing is ever lost), so it reports
-  /// FailedPrecondition; FaultyNetwork overrides this with a retransmission
-  /// store.
+  /// sequence number `seq` on channel (from -> to), served from the
+  /// pristine log and metered as a fresh send. With an injector attached
+  /// the copy travels the fault pipeline again, and the request is refused
+  /// while the sender is crashed. Refused (FailedPrecondition) when no copy
+  /// is retained: never sent, silenced by a crash, or already accepted.
+  /// The socket transport also refuses while the daemon link carrying the
+  /// channel is dead.
   [[nodiscard]] virtual Result<std::vector<uint8_t>> RequestRetransmit(PartyId to,
                                                          PartyId from,
                                                          uint64_t seq);
@@ -180,13 +205,18 @@ class Network {
 
   /// \brief Re-synchronizes the framed channel (from -> to) after a session
   /// resume: the receiver's expected sequence number jumps to the sender's
-  /// next unsent one and the early-frame stash is dropped. Any frame still
-  /// in flight from before the resume becomes a stale duplicate (seq <
-  /// expected), which RecvValidated already discards for free.
+  /// next unsent one, and the early-frame stash and the channel's retained
+  /// copies are dropped. Any frame still in flight from before the resume
+  /// becomes a stale duplicate (seq < expected), which RecvValidated
+  /// already discards for free.
   void ResyncChannel(PartyId from, PartyId to);
 
   /// \brief Frames currently stashed ahead-of-sequence on (from -> to).
   size_t StashedCount(PartyId from, PartyId to) const;
+
+  /// \brief Pristine frames held for retransmission across all channels:
+  /// sent but not yet accepted or skipped. 0 after every clean protocol.
+  size_t RetainedFrameCount() const;
 
   /// \brief Traffic so far.
   TrafficReport Report() const;
@@ -212,11 +242,13 @@ class Network {
   void Deliver(PartyId from, PartyId to, std::vector<uint8_t> frame,
                bool front = false);
 
-  /// \brief The delivery hook both send paths funnel through after
-  /// validation and metering. Fault-injection layers override this to drop,
-  /// duplicate, reorder, corrupt, truncate or delay the frame.
+  /// \brief Moves one frame toward the (from -> to) mailbox after
+  /// metering and the fault pipeline; `front` models reordering. The
+  /// simulator enqueues it directly; the socket transport relays it through
+  /// the daemon hosting an endpoint.
   [[nodiscard]] virtual Status Transmit(PartyId from, PartyId to,
-                          std::vector<uint8_t> frame);
+                                        std::vector<uint8_t> frame,
+                                        bool front);
 
   /// \brief Blocks (up to `budget_ms`) until a message from `from` to `to`
   /// is pending, for backends where frames arrive asynchronously: the
@@ -247,6 +279,14 @@ class Network {
   std::string DescribeChannel(PartyId from, PartyId to) const;
 
  private:
+  /// Runs one frame through the attached injector (if any) and hands what
+  /// survives to Transmit.
+  [[nodiscard]] Status Dispatch(PartyId from, PartyId to,
+                                std::vector<uint8_t> frame);
+
+  /// True when an attached fault plan has `party` down this round.
+  bool Crashed(PartyId party) const;
+
   RoundObserver round_observer_;
   std::vector<std::string> names_;
   // (from, to) -> FIFO of payloads.
@@ -258,6 +298,9 @@ class Network {
   std::map<ChannelKey, uint64_t> send_seq_;
   std::map<ChannelKey, uint64_t> recv_seq_;
   std::map<ChannelKey, std::map<uint64_t, std::vector<uint8_t>>> stash_;
+  // Pristine copies of framed sends, by sequence number, until accepted.
+  std::map<ChannelKey, std::map<uint64_t, std::vector<uint8_t>>> retained_;
+  std::unique_ptr<FaultInjector> injector_;
 };
 
 /// \brief Optional capability of a transport backend: executing a stage

@@ -34,14 +34,6 @@ SocketNetwork::SocketNetwork(SocketTransportConfig config)
 
 SocketNetwork::~SocketNetwork() { Shutdown(); }
 
-void SocketNetwork::AttachFaultInjector(FaultPlan plan) {
-  injector_.emplace(std::move(plan));
-}
-
-const FaultStats* SocketNetwork::fault_stats() const {
-  return injector_.has_value() ? &injector_->stats() : nullptr;
-}
-
 bool SocketNetwork::LinkAlive(PartyId party) const {
   auto it = route_.find(party);
   return it != route_.end() && links_[it->second].alive;
@@ -94,9 +86,10 @@ void SocketNetwork::CloseLink(DaemonLink* link) {
 void SocketNetwork::MarkDead(DaemonLink* link) {
   if (link->alive) ++stats_.dead_peers_detected;
   CloseLink(link);
-  // Frames queued for the dead connection are gone with it; the pristine
-  // sent log serves any that mattered via RequestRetransmit. Exec results
-  // of a dead daemon are meaningless — the host re-asks after reconnect.
+  // Frames queued for the dead connection are gone with it: RequestRetransmit
+  // refuses until Reestablish, and the session resume replays what mattered.
+  // Exec results of a dead daemon are meaningless — the host re-asks after
+  // reconnect.
   link->send_queue.clear();
   link->exec_results.clear();
   link->exec_grace_until_ms = 0;
@@ -158,53 +151,15 @@ Status SocketNetwork::RelayFrame(DaemonLink* link, PartyId from, PartyId to,
                                      body.TakeBuffer()));
 }
 
-Status SocketNetwork::Transmit(PartyId from, PartyId to,
-                               std::vector<uint8_t> frame) {
-  bool front = false;
-  int copies = 1;
-  if (injector_.has_value()) {
-    FaultInjector::Verdict verdict =
-        injector_->OnTransmit(RoundIndex(), from, to, std::move(frame));
-    switch (verdict.action) {
-      case FaultInjector::Action::kSwallow:
-        return Status::OK();
-      case FaultInjector::Action::kDeliverTwice:
-        copies = 2;
-        break;
-      case FaultInjector::Action::kDeliverFront:
-        front = true;
-        break;
-      case FaultInjector::Action::kDeliver:
-        break;
-    }
-    frame = std::move(verdict.frame);
-  } else {
-    sent_log_[{from, to}].push_back(frame);  // Pristine retransmit copy.
-  }
+Status SocketNetwork::Transmit(PartyId from, PartyId to, std::vector<uint8_t> frame,
+                               bool front) {
   const size_t index = LinkFor(from, to);
-  for (int copy = 0; copy < copies; ++copy) {
-    const bool last = copy == copies - 1;
-    if (index == kNoLink) {
-      // Neither endpoint is daemon-hosted: the channel stays in-process.
-      std::vector<uint8_t> delivered = last ? std::move(frame) : frame;
-      Deliver(from, to, std::move(delivered), front);
-    } else {
-      PSI_RETURN_NOT_OK(RelayFrame(&links_[index], from, to, front, frame));
-    }
+  if (index == kNoLink) {
+    // Neither endpoint is daemon-hosted: the channel stays in-process.
+    Deliver(from, to, std::move(frame), front);
+    return Status::OK();
   }
-  return Status::OK();
-}
-
-void SocketNetwork::BeginRound(std::string label) {
-  if (injector_.has_value()) {
-    // Delayed frames surface at the round boundary, before any of the
-    // round's own traffic — locally, exactly like the simulator, so the
-    // release point does not depend on daemon scheduling.
-    for (auto& [key, frame] : injector_->TakeDelayed()) {
-      Deliver(key.first, key.second, std::move(frame));
-    }
-  }
-  Network::BeginRound(std::move(label));
+  return RelayFrame(&links_[index], from, to, front, frame);
 }
 
 Status SocketNetwork::PumpLink(DaemonLink* link) {
@@ -386,29 +341,7 @@ Result<std::vector<uint8_t>> SocketNetwork::RequestRetransmit(PartyId to,
         std::to_string(links_[index].port) + " carrying " +
         DescribeChannel(from, to) + " is down; reestablish first");
   }
-  if (injector_.has_value()) {
-    FaultInjector::Retransmission served = injector_->OnRetransmit(
-        RoundIndex(), to, from, seq, DescribeChannel(from, to),
-        party_name(from));
-    if (served.wire_bytes > 0) {
-      MeterSend(from, served.wire_bytes, served.payload_bytes);
-    }
-    return std::move(served.result);
-  }
-  auto it = sent_log_.find({from, to});
-  if (it != sent_log_.end()) {
-    for (const auto& frame : it->second) {
-      auto peeked = PeekEnvelopeSeq(frame);
-      if (!peeked.ok() || peeked.ValueOrDie() != seq) continue;
-      // Served directly from the pristine log (the copy a real daemon
-      // restart would have lost in flight), metered as a fresh send.
-      MeterSend(from, frame.size(), frame.size() - kEnvelopeOverheadBytes);
-      return frame;
-    }
-  }
-  return Status::FailedPrecondition(
-      "retransmit refused: no frame with seq " + std::to_string(seq) +
-      " was ever sent on " + DescribeChannel(from, to));
+  return Network::RequestRetransmit(to, from, seq);
 }
 
 Status SocketNetwork::DialAndAuth(DaemonLink* link, bool resume) {

@@ -23,11 +23,12 @@
 //   - recv deadlines: WaitForPending pumps the event loop under the
 //     RecvOptions deadline (default SocketTransportConfig::recv_timeout_ms);
 //   - heartbeat probes with a dead-peer timeout while waiting;
-//   - a pristine per-channel sent log serving RequestRetransmit, so frames
-//     lost inside a killed daemon are recovered the same way the simulator
-//     recovers dropped frames;
-//   - an optional FaultInjector decorating the relay path, so one chaos
-//     plan produces one fault schedule on either backend (docs/FAULTS.md).
+//   - retransmission from the base Network's pristine log, refused while
+//     the link carrying the channel is dead, so a daemon kill is repaired
+//     by reconnecting, never by a local copy that skipped the wire.
+// Fault injection (Network::AttachFaultInjector) runs in the base before
+// Transmit, so one chaos plan produces one fault schedule on either backend
+// (docs/FAULTS.md).
 //
 // Metering note: RoundStats/TrafficReport count protocol messages only
 // (SendFramed/Send and served retransmissions), identically to the
@@ -42,14 +43,12 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/annotations.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "net/fault_injector.h"
 #include "net/network.h"
 #include "net/socket_util.h"
 
@@ -124,27 +123,15 @@ class SocketNetwork : public Network, public RemoteExecTransport {
   [[nodiscard]] Status ConnectDaemon(const std::string& host, uint16_t port,
                                      std::vector<PartyId> parties);
 
-  /// \brief Decorates the relay path with the shared fault pipeline: the
-  /// chaos harness attaches the same FaultPlan it hands FaultyNetwork and
-  /// gets the same seeded fault schedule over sockets.
-  void AttachFaultInjector(FaultPlan plan);
-
-  /// \brief Fault counters when an injector is attached, else nullptr.
-  const FaultStats* fault_stats() const;
-
-  /// \brief Releases fault-delayed frames, then opens the round as usual.
-  void BeginRound(std::string label) override;
-
   /// \brief Recv that first pumps the event loop (bounded by the receive
   /// timeout) when nothing is pending on a daemon-routed channel, so raw
   /// Send/Recv protocols work unchanged over the asynchronous wire.
   [[nodiscard]] Result<std::vector<uint8_t>> Recv(PartyId to,
                                                   PartyId from) override;
 
-  /// \brief Serves retransmissions from the pristine sent log (through the
-  /// fault pipeline when an injector is attached), metered as fresh sends.
-  /// Refused while the link carrying the channel is dead: a dead wire
-  /// cannot retransmit — Reestablish() first.
+  /// \brief Network::RequestRetransmit, refused while the link carrying
+  /// the channel is dead: a dead wire cannot retransmit — Reestablish()
+  /// first.
   [[nodiscard]] Result<std::vector<uint8_t>> RequestRetransmit(
       PartyId to, PartyId from, uint64_t seq) override;
 
@@ -181,8 +168,10 @@ class SocketNetwork : public Network, public RemoteExecTransport {
       uint64_t deadline_ms, uint64_t expected_seq) override;
 
  protected:
-  [[nodiscard]] Status Transmit(PartyId from, PartyId to,
-                                std::vector<uint8_t> frame) override;
+  /// \brief Delivers locally when neither endpoint is daemon-hosted, else
+  /// relays through the daemon hosting the receiver (or the sender).
+  [[nodiscard]] Status Transmit(PartyId from, PartyId to, std::vector<uint8_t> frame,
+                                bool front) override;
   [[nodiscard]] Status WaitForPending(PartyId to, PartyId from,
                                       uint64_t budget_ms) override;
   uint64_t DefaultRecvDeadlineMs() const override {
@@ -245,10 +234,6 @@ class SocketNetwork : public Network, public RemoteExecTransport {
   TransportStats stats_;
   std::vector<DaemonLink> links_;
   std::map<PartyId, size_t> route_;  // Hosted party -> links_ index.
-  std::optional<FaultInjector> injector_;
-  // Pristine frames for retransmission when no injector owns that job.
-  std::map<std::pair<PartyId, PartyId>, std::vector<std::vector<uint8_t>>>
-      sent_log_;
 };
 
 }  // namespace psi

@@ -57,7 +57,6 @@
 #include "net/cost_model.h"           // IWYU pragma: export
 #include "net/daemon.h"               // IWYU pragma: export
 #include "net/envelope.h"             // IWYU pragma: export
-#include "net/fault.h"                // IWYU pragma: export
 #include "net/fault_injector.h"       // IWYU pragma: export
 #include "net/network.h"              // IWYU pragma: export
 #include "net/socket_transport.h"     // IWYU pragma: export

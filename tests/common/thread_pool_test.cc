@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace psi {
@@ -160,6 +161,37 @@ TEST_F(ThreadPoolTest, SetNumThreadsClampsToAtLeastOne) {
   size_t calls = 0;
   ParallelFor(5, [&](size_t) { ++calls; });  // Serial => plain counter is fine.
   EXPECT_EQ(calls, 5u);
+}
+
+TEST_F(ThreadPoolTest, ConcurrentExternalCallersEachRunEveryIndexOnce) {
+  // Two threads submit to one 4-thread pool at the same time, the way two
+  // sessions in one process do. Each caller's job must run in full: a
+  // second submission may never overwrite a job that is still running.
+  ThreadPool pool(4);
+  constexpr size_t kN = 64;
+  constexpr int kIterations = 300;
+  std::atomic<int> started{0};
+  auto caller = [&](std::atomic<size_t>* wrong) {
+    started.fetch_add(1);
+    while (started.load() < 2) std::this_thread::yield();
+    for (int iter = 0; iter < kIterations; ++iter) {
+      std::vector<std::atomic<int>> hits(kN);
+      pool.ParallelFor(kN, [&](size_t i) {
+        hits[i].fetch_add(1);
+        std::this_thread::yield();  // Let the other caller in mid-job.
+      });
+      for (const auto& h : hits) {
+        if (h.load() != 1) wrong->fetch_add(1);
+      }
+    }
+  };
+  std::atomic<size_t> wrong_a{0}, wrong_b{0};
+  std::thread a(caller, &wrong_a);
+  std::thread b(caller, &wrong_b);
+  a.join();
+  b.join();
+  EXPECT_EQ(wrong_a.load(), 0u) << "indices not run exactly once (caller A)";
+  EXPECT_EQ(wrong_b.load(), 0u) << "indices not run exactly once (caller B)";
 }
 
 }  // namespace

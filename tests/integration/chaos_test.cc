@@ -23,7 +23,7 @@
 #include "mpc/propagation_protocol.h"
 #include "mpc/session.h"
 #include "net/cost_model.h"
-#include "net/fault.h"
+#include "net/fault_injector.h"
 
 namespace psi {
 namespace {
@@ -202,9 +202,10 @@ TEST(ChaosTest, Protocol4SurvivesRandomFaultSchedules) {
 
   uint64_t ok_runs = 0, failed_runs = 0, faults_injected = 0;
   for (uint64_t seed = 0; seed < kNumChaosSeeds; ++seed) {
-    FaultyNetwork net(FaultPlan::RandomPlan(seed, /*num_parties=*/w.m + 1));
+    Network net;
+    net.AttachFaultInjector(FaultPlan::RandomPlan(seed, /*num_parties=*/w.m + 1));
     auto result = RunP4(w, &net);
-    faults_injected += net.fault_stats().injected();
+    faults_injected += net.fault_stats()->injected();
     // Drained mailboxes on every outcome: a failed run must not leak frames
     // into whatever would run next on this network.
     ASSERT_EQ(net.PendingCount(), 0u) << "seed=" << seed;
@@ -237,9 +238,10 @@ TEST(ChaosTest, Protocol6SurvivesRandomFaultSchedules) {
 
   uint64_t ok_runs = 0, failed_runs = 0, faults_injected = 0;
   for (uint64_t seed = 0; seed < kNumChaosSeeds; ++seed) {
-    FaultyNetwork net(FaultPlan::RandomPlan(seed, /*num_parties=*/w.m + 1));
+    Network net;
+    net.AttachFaultInjector(FaultPlan::RandomPlan(seed, /*num_parties=*/w.m + 1));
     auto result = RunP6(w, &net);
-    faults_injected += net.fault_stats().injected();
+    faults_injected += net.fault_stats()->injected();
     ASSERT_EQ(net.PendingCount(), 0u) << "seed=" << seed;
     if (result.ok()) {
       ++ok_runs;
@@ -271,10 +273,11 @@ TEST(ChaosTest, PackedAggregationSurvivesRandomFaultSchedules) {
 
   uint64_t ok_runs = 0, failed_runs = 0, faults_injected = 0;
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
-    FaultyNetwork net(FaultPlan::RandomPlan(seed, /*num_parties=*/w.m + 1));
+    Network net;
+    net.AttachFaultInjector(FaultPlan::RandomPlan(seed, /*num_parties=*/w.m + 1));
     auto result =
         RunP4(w, &net, nullptr, nullptr, P4Aggregation::kPaillierPacked);
-    faults_injected += net.fault_stats().injected();
+    faults_injected += net.fault_stats()->injected();
     ASSERT_EQ(net.PendingCount(), 0u) << "seed=" << seed;
     if (result.ok()) {
       ++ok_runs;
@@ -304,9 +307,10 @@ TEST(ChaosTest, PackedProtocol6SurvivesRandomFaultSchedules) {
 
   uint64_t ok_runs = 0, failed_runs = 0, faults_injected = 0;
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
-    FaultyNetwork net(FaultPlan::RandomPlan(seed, /*num_parties=*/w.m + 1));
+    Network net;
+    net.AttachFaultInjector(FaultPlan::RandomPlan(seed, /*num_parties=*/w.m + 1));
     auto result = RunP6(w, &net, kMode);
-    faults_injected += net.fault_stats().injected();
+    faults_injected += net.fault_stats()->injected();
     ASSERT_EQ(net.PendingCount(), 0u) << "seed=" << seed;
     if (result.ok()) {
       ++ok_runs;
@@ -326,7 +330,8 @@ TEST(ChaosTest, PackedProtocol6SurvivesRandomFaultSchedules) {
 TEST(ChaosTest, PackedHomomorphicSumZeroFaultPlanMetersExactly) {
   // Zero-fault metering stays exact for packed envelopes: the fault layer
   // adds nothing, and the analytic model predicts the wire bytes.
-  FaultyNetwork net(FaultPlan::None());
+  Network net;
+  net.AttachFaultInjector(FaultPlan::None());
   const size_t m = 3;
   std::vector<PartyId> players;
   std::vector<std::unique_ptr<Rng>> rngs;
@@ -347,7 +352,7 @@ TEST(ChaosTest, PackedHomomorphicSumZeroFaultPlanMetersExactly) {
   }
   ASSERT_TRUE(proto.Run(inputs, rng_ptrs, "h.").ok());
   ASSERT_TRUE(proto.last_run_packed());
-  EXPECT_EQ(net.fault_stats().injected(), 0u);
+  EXPECT_EQ(net.fault_stats()->injected(), 0u);
 
   HomomorphicSumCostParams p;
   p.m = m;
@@ -365,11 +370,12 @@ TEST(ChaosTest, PackedHomomorphicSumZeroFaultPlanMetersExactly) {
 
 TEST(ChaosTest, Protocol4ZeroFaultPlanMatchesCostModelExactly) {
   WorldData w = MakeWorldData(3, 16, 50, 20, 77);
-  FaultyNetwork net(FaultPlan::None());
+  Network net;
+  net.AttachFaultInjector(FaultPlan::None());
   size_t log_s = 0, q = 0;
   ASSERT_TRUE(RunP4(w, &net, &log_s, &q).ok());
-  EXPECT_EQ(net.fault_stats().injected(), 0u);
-  EXPECT_EQ(net.fault_stats().retransmits_served, 0u);
+  EXPECT_EQ(net.fault_stats()->injected(), 0u);
+  EXPECT_EQ(net.fault_stats()->retransmits_served, 0u);
 
   Protocol4CostParams params;
   params.m = w.m;
@@ -402,9 +408,10 @@ TEST(ChaosTest, Protocol4ZeroFaultPlanMatchesCostModelExactly) {
 
 TEST(ChaosTest, Protocol6ZeroFaultPlanMatchesCostModelExactly) {
   WorldData w = MakeWorldData(3, 14, 40, 8, 88);
-  FaultyNetwork net(FaultPlan::None());
+  Network net;
+  net.AttachFaultInjector(FaultPlan::None());
   ASSERT_TRUE(RunP6(w, &net).ok());
-  EXPECT_EQ(net.fault_stats().injected(), 0u);
+  EXPECT_EQ(net.fault_stats()->injected(), 0u);
 
   auto report = net.Report();
   // Table 2: NR = 4, NM = 3m.
@@ -433,8 +440,8 @@ TEST(ChaosTest, Protocol4SessionRecoversFromCrashRestartSchedules) {
 
   uint64_t ok_runs = 0, failed_runs = 0, recovered_runs = 0;
   for (uint64_t seed = 0; seed < kNumChaosSeeds; ++seed) {
-    FaultyNetwork net(
-        FaultPlan::RandomRestartPlan(seed, /*num_parties=*/w.m + 1));
+    Network net;
+    net.AttachFaultInjector(FaultPlan::RandomRestartPlan(seed, /*num_parties=*/w.m + 1));
     RetryPolicy retry;
     retry.max_attempts = 4;
     SessionStats stats;
@@ -471,8 +478,8 @@ TEST(ChaosTest, Protocol6SessionRecoversFromCrashRestartSchedules) {
 
   uint64_t ok_runs = 0, failed_runs = 0, recovered_runs = 0;
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
-    FaultyNetwork net(
-        FaultPlan::RandomRestartPlan(seed, /*num_parties=*/w.m + 1));
+    Network net;
+    net.AttachFaultInjector(FaultPlan::RandomRestartPlan(seed, /*num_parties=*/w.m + 1));
     RetryPolicy retry;
     retry.max_attempts = 4;
     SessionStats stats;
@@ -499,7 +506,8 @@ TEST(ChaosTest, Protocol4SessionZeroFaultPlanMatchesCostModelExactly) {
   // attempt, no handshake, no backoff — metering identical to the analytic
   // Table 1 model, byte for byte, even with a multi-attempt retry budget.
   WorldData w = MakeWorldData(3, 16, 50, 20, 77);
-  FaultyNetwork net(FaultPlan::None());
+  Network net;
+  net.AttachFaultInjector(FaultPlan::None());
   RetryPolicy retry;  // Defaults: max_attempts = 3, resume on.
   SessionStats stats;
   size_t log_s = 0, q = 0;
@@ -548,7 +556,8 @@ TEST(ChaosTest, ForcedResumeHandshakeMetersExactly) {
 
   bool found = false;
   for (uint64_t after = 1; after <= 10 && !found; ++after) {
-    FaultyNetwork net(CrashOnlyPlan(provider1, after, after + 3));
+    Network net;
+    net.AttachFaultInjector(CrashOnlyPlan(provider1, after, after + 3));
     RetryPolicy retry;
     retry.max_attempts = 4;
     SessionStats stats;
@@ -610,7 +619,8 @@ TEST(ChaosTest, FullRestartBaselineRecomputesPackedCryptoOps) {
   for (uint64_t after = 1; after <= 10 && !found; ++after) {
     // Resume-mode probe first: find a window that recovers, then rerun the
     // identical schedule with checkpoint resume disabled.
-    FaultyNetwork net(CrashOnlyPlan(provider1, after, after + 3));
+    Network net;
+    net.AttachFaultInjector(CrashOnlyPlan(provider1, after, after + 3));
     RetryPolicy retry;
     retry.max_attempts = 4;
     SessionStats stats;
@@ -623,7 +633,8 @@ TEST(ChaosTest, FullRestartBaselineRecomputesPackedCryptoOps) {
     found = true;
     EXPECT_EQ(stats.crypto_ops_recomputed, 0u);
 
-    FaultyNetwork net_full(CrashOnlyPlan(provider1, after, after + 3));
+    Network net_full;
+    net_full.AttachFaultInjector(CrashOnlyPlan(provider1, after, after + 3));
     RetryPolicy full_restart = retry;
     full_restart.resume_from_checkpoint = false;
     SessionStats full_stats;

@@ -21,7 +21,7 @@
 #include "mpc/link_influence_protocol.h"
 #include "mpc/propagation_protocol.h"
 #include "mpc/session.h"
-#include "net/fault.h"
+#include "net/fault_injector.h"
 
 namespace psi {
 namespace {
@@ -42,10 +42,10 @@ class TranscriptNetwork : public Network {
   const std::vector<Frame>& frames() const { return frames_; }
 
  protected:
-  Status Transmit(PartyId from, PartyId to,
-                  std::vector<uint8_t> frame) override {
+  Status Transmit(PartyId from, PartyId to, std::vector<uint8_t> frame,
+                  bool front) override {
     frames_.push_back(Frame{from, to, frame});
-    return Network::Transmit(from, to, std::move(frame));
+    return Network::Transmit(from, to, std::move(frame), front);
   }
 
  private:
@@ -195,28 +195,6 @@ TEST_F(DeterminismTest, PackedPaillierSumDiffersOnlyInSizeFromUnpacked) {
   EXPECT_LT(packed_bytes, unpacked_bytes);
 }
 
-// Fault-injecting network that also logs every transmission attempt (before
-// the fault pipeline mutates it), so two crash-recovered runs can be compared
-// frame for frame.
-class TranscriptFaultyNetwork : public FaultyNetwork {
- public:
-  using FaultyNetwork::FaultyNetwork;
-
-  const std::vector<TranscriptNetwork::Frame>& frames() const {
-    return frames_;
-  }
-
- protected:
-  Status Transmit(PartyId from, PartyId to,
-                  std::vector<uint8_t> frame) override {
-    frames_.push_back(TranscriptNetwork::Frame{from, to, frame});
-    return FaultyNetwork::Transmit(from, to, std::move(frame));
-  }
-
- private:
-  std::vector<TranscriptNetwork::Frame> frames_;
-};
-
 struct P4World {
   std::unique_ptr<SocialGraph> graph;
   size_t actions = 20;
@@ -248,7 +226,9 @@ P4SessionRun RunP4SessionOnce(const P4World& w, size_t num_threads,
   ThreadPool::Global().SetNumThreads(num_threads);
   FaultPlan plan;
   plan.crash = CrashSpec{/*party=*/1, crash_after, crash_after + 3};
-  TranscriptFaultyNetwork net(plan);
+  // The transcript records every frame the crash plan lets onto the wire.
+  TranscriptNetwork net;
+  net.AttachFaultInjector(plan);
   PartyId host = net.RegisterParty("H");
   std::vector<PartyId> providers{net.RegisterParty("P1"),
                                  net.RegisterParty("P2"),

@@ -8,8 +8,8 @@
 //      and recomputes nothing that was checkpointed.
 //   2. A recovery that needed exactly one resume meters exactly one
 //      handshake round, matching SessionResumeCosts to the byte.
-//   3. The seeded chaos plans that drive FaultyNetwork run unchanged
-//      through the shared FaultInjector over sockets, and the chaos
+//   3. The seeded chaos plans that drive the simulator run unchanged
+//      through Network::AttachFaultInjector over sockets, and the chaos
 //      invariant holds there too: bitwise-exact result or clean error,
 //      with PendingCount() == 0 on every outcome.
 //   4. One daemon serves multiple concurrent sessions.
@@ -42,7 +42,7 @@
 #include "mpc/session.h"
 #include "net/cost_model.h"
 #include "net/daemon.h"
-#include "net/fault.h"
+#include "net/fault_injector.h"
 #include "net/socket_transport.h"
 
 namespace psi {
@@ -448,8 +448,8 @@ TEST(SocketDaemonTest, Protocol6SurvivesDaemonSigkillAtEveryRound) {
 
 // ---------------------------------------------------------------------------
 // Chaos over sockets: the same seeded plan generator that drives the
-// simulator sweeps (chaos_test.cc), through the shared FaultInjector
-// decorating the socket relay path. The chaos invariant must hold over the
+// simulator sweeps (chaos_test.cc), attached to the socket transport the
+// same way as to the simulator. The chaos invariant must hold over the
 // wire: bitwise-exact result or clean error, never a wrong answer, never a
 // leaked frame. (Exact per-seed schedule equality with the simulator is
 // deliberately not asserted: a loaded machine can stretch an echo past the
@@ -495,6 +495,95 @@ TEST(SocketDaemonTest, ChaosPlansHoldInvariantsOverSockets) {
   // their schedules end to end.
   EXPECT_GT(faults_injected, 0u);
   EXPECT_GT(ok_runs, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The retransmit log is bounded: a frame's pristine copy leaves it once the
+// receiver accepts the frame (or a resume skips past it), so back-to-back
+// sessions on one long-lived transport never accumulate frames.
+
+// A psid serving on a thread of this process, like a long-running
+// deployment's daemon; Stop() in the destructor ends Run().
+class InProcessDaemon {
+ public:
+  InProcessDaemon() : daemon_(HostP1()) {
+    port_ = daemon_.Listen(0).ValueOrDie();
+    thread_ = std::thread([this] {
+      const Status served = daemon_.Run();
+      (void)served;
+    });
+  }
+  ~InProcessDaemon() {
+    daemon_.Stop();
+    thread_.join();
+  }
+  InProcessDaemon(const InProcessDaemon&) = delete;
+  InProcessDaemon& operator=(const InProcessDaemon&) = delete;
+
+  uint16_t port() const { return port_; }
+
+ private:
+  static PsidConfig HostP1() {
+    PsidConfig config;
+    config.hosted_parties = {"P1"};
+    return config;
+  }
+
+  PsidDaemon daemon_;
+  uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+TEST(RetransmitLogTest, EmptyAfterEveryCleanSocketSession) {
+  WorldData w = MakeWorldData(/*m=*/3, /*n=*/16, /*arcs=*/50, /*actions=*/20,
+                              /*seed=*/77);
+  Network sim;
+  auto baseline = RunP4(w, &sim, RegisterParties(&sim, w.m)).ValueOrDie();
+  InProcessDaemon daemon;
+  SocketNetwork net(FastConfig("bounded-log"));
+  Parties parties = RegisterParties(&net, w.m);
+  ASSERT_TRUE(net.ConnectDaemon("127.0.0.1", daemon.port(), {parties.providers[0]}).ok());
+  RetryPolicy retry;
+  for (int session = 0; session < 4; ++session) {
+    const std::string context = "session " + std::to_string(session);
+    SessionStats stats;
+    auto result = RunP4(w, &net, parties, &retry, &stats);
+    ASSERT_TRUE(result.ok()) << context << ": " << result.status().message();
+    ExpectSameInfluence(result.ValueOrDie(), baseline, context);
+    EXPECT_EQ(net.RetainedFrameCount(), 0u) << context;
+    EXPECT_EQ(net.PendingCount(), 0u) << context;
+  }
+  EXPECT_GT(net.transport_stats().frames_relayed, 0u);
+}
+
+TEST(RetransmitLogTest, EmptyAfterEveryCleanFaultedSimulatorSession) {
+  WorldData w = MakeWorldData(/*m=*/3, /*n=*/16, /*arcs=*/50, /*actions=*/20,
+                              /*seed=*/77);
+  Network clean;
+  auto baseline = RunP4(w, &clean, RegisterParties(&clean, w.m)).ValueOrDie();
+  uint64_t clean_sessions = 0, retransmits_served = 0;
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    Network net;
+    Parties parties = RegisterParties(&net, w.m);
+    net.AttachFaultInjector(FaultPlan::RandomPlan(seed, w.m + 1));
+    RetryPolicy retry;
+    retry.max_attempts = 4;
+    for (int session = 0; session < 3; ++session) {
+      const std::string context =
+          "seed=" + std::to_string(seed) + " session " + std::to_string(session);
+      SessionStats stats;
+      auto result = RunP4(w, &net, parties, &retry, &stats);
+      ASSERT_EQ(net.PendingCount(), 0u) << context;
+      if (!result.ok()) continue;  // A permanent crash: nothing is clean.
+      ++clean_sessions;
+      ExpectSameInfluence(result.ValueOrDie(), baseline, context);
+      EXPECT_EQ(net.RetainedFrameCount(), 0u) << context;
+    }
+    retransmits_served += net.fault_stats()->retransmits_served;
+  }
+  // The plans must force real retransmissions, and most sessions survive.
+  EXPECT_GT(retransmits_served, 0u);
+  EXPECT_GT(clean_sessions, 12u * 3 / 2);
 }
 
 // ---------------------------------------------------------------------------

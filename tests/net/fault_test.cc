@@ -1,4 +1,4 @@
-#include "net/fault.h"
+#include "net/fault_injector.h"
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,8 @@ class FaultTest : public ::testing::Test {
 };
 
 TEST_F(FaultTest, ZeroPlanBehavesLikeLosslessNetwork) {
-  FaultyNetwork net(FaultPlan::None());
+  Network net;
+  net.AttachFaultInjector(FaultPlan::None());
   Register(&net);
   net.BeginRound("r1");
   ASSERT_TRUE(net.SendFramed(a_, b_, ProtocolId::kSecureSum, 1,
@@ -34,8 +35,8 @@ TEST_F(FaultTest, ZeroPlanBehavesLikeLosslessNetwork) {
   EXPECT_EQ(framed.ValueOrDie().size(), 100u);
   ASSERT_TRUE(net.Recv(b_, a_).ok());
 
-  EXPECT_EQ(net.fault_stats().injected(), 0u);
-  EXPECT_EQ(net.fault_stats().retransmits_served, 0u);
+  EXPECT_EQ(net.fault_stats()->injected(), 0u);
+  EXPECT_EQ(net.fault_stats()->retransmits_served, 0u);
   auto report = net.Report();
   EXPECT_EQ(report.num_messages, 2u);
   EXPECT_EQ(report.num_payload_bytes, 107u);
@@ -46,7 +47,8 @@ TEST_F(FaultTest, DroppedFrameRecoveredByRetransmission) {
   FaultPlan plan;
   plan.seed = 7;
   plan.rules.push_back(Always(FaultKind::kDrop, /*max_triggers=*/1));
-  FaultyNetwork net(plan);
+  Network net;
+  net.AttachFaultInjector(plan);
   Register(&net);
   net.BeginRound("r1");
   ASSERT_TRUE(net.SendFramed(a_, b_, ProtocolId::kSecureSum, 1, {42}).ok());
@@ -55,15 +57,16 @@ TEST_F(FaultTest, DroppedFrameRecoveredByRetransmission) {
   auto r = net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie(), (std::vector<uint8_t>{42}));
-  EXPECT_EQ(net.fault_stats().dropped, 1u);
-  EXPECT_EQ(net.fault_stats().retransmits_served, 1u);
+  EXPECT_EQ(net.fault_stats()->dropped, 1u);
+  EXPECT_EQ(net.fault_stats()->retransmits_served, 1u);
 }
 
 TEST_F(FaultTest, CorruptedFrameRecoveredByRetransmission) {
   FaultPlan plan;
   plan.seed = 11;
   plan.rules.push_back(Always(FaultKind::kCorrupt, /*max_triggers=*/1));
-  FaultyNetwork net(plan);
+  Network net;
+  net.AttachFaultInjector(plan);
   Register(&net);
   net.BeginRound("r1");
   ASSERT_TRUE(net.SendFramed(a_, b_, ProtocolId::kSecureSum, 1,
@@ -71,15 +74,16 @@ TEST_F(FaultTest, CorruptedFrameRecoveredByRetransmission) {
   auto r = net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie(), std::vector<uint8_t>(64, 0xAB));
-  EXPECT_EQ(net.fault_stats().corrupted, 1u);
-  EXPECT_GE(net.fault_stats().retransmits_served, 1u);
+  EXPECT_EQ(net.fault_stats()->corrupted, 1u);
+  EXPECT_GE(net.fault_stats()->retransmits_served, 1u);
 }
 
 TEST_F(FaultTest, TruncatedFrameRecoveredByRetransmission) {
   FaultPlan plan;
   plan.seed = 13;
   plan.rules.push_back(Always(FaultKind::kTruncate, /*max_triggers=*/1));
-  FaultyNetwork net(plan);
+  Network net;
+  net.AttachFaultInjector(plan);
   Register(&net);
   net.BeginRound("r1");
   ASSERT_TRUE(net.SendFramed(a_, b_, ProtocolId::kSecureSum, 1,
@@ -87,14 +91,15 @@ TEST_F(FaultTest, TruncatedFrameRecoveredByRetransmission) {
   auto r = net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie(), std::vector<uint8_t>(64, 0xCD));
-  EXPECT_EQ(net.fault_stats().truncated, 1u);
+  EXPECT_EQ(net.fault_stats()->truncated, 1u);
 }
 
 TEST_F(FaultTest, DuplicateIsDeliveredOnceAndStaleCopyDiscarded) {
   FaultPlan plan;
   plan.seed = 17;
   plan.rules.push_back(Always(FaultKind::kDuplicate, /*max_triggers=*/1));
-  FaultyNetwork net(plan);
+  Network net;
+  net.AttachFaultInjector(plan);
   Register(&net);
   net.BeginRound("r1");
   ASSERT_TRUE(net.SendFramed(a_, b_, ProtocolId::kSecureSum, 1, {1}).ok());
@@ -106,7 +111,7 @@ TEST_F(FaultTest, DuplicateIsDeliveredOnceAndStaleCopyDiscarded) {
   // The second call skips the stale duplicate of seq 0 and returns seq 1.
   EXPECT_EQ(net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1)
                 .ValueOrDie()[0], 2);
-  EXPECT_EQ(net.fault_stats().duplicated, 1u);
+  EXPECT_EQ(net.fault_stats()->duplicated, 1u);
   EXPECT_EQ(net.PendingCount(), 0u);
 }
 
@@ -114,7 +119,8 @@ TEST_F(FaultTest, ReorderedFramesAreStashedAndResequenced) {
   FaultPlan plan;
   plan.seed = 19;
   plan.rules.push_back(Always(FaultKind::kReorder, /*max_triggers=*/2));
-  FaultyNetwork net(plan);
+  Network net;
+  net.AttachFaultInjector(plan);
   Register(&net);
   net.BeginRound("r1");
   // Both sends jump the queue: after the second, the mailbox is [seq1, seq0].
@@ -125,7 +131,7 @@ TEST_F(FaultTest, ReorderedFramesAreStashedAndResequenced) {
                 .ValueOrDie()[0], 1);
   EXPECT_EQ(net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1)
                 .ValueOrDie()[0], 2);
-  EXPECT_EQ(net.fault_stats().reordered, 2u);
+  EXPECT_EQ(net.fault_stats()->reordered, 2u);
   EXPECT_EQ(net.PendingCount(), 0u);
 }
 
@@ -133,7 +139,8 @@ TEST_F(FaultTest, DelayedFrameSurfacesAtNextRound) {
   FaultPlan plan;
   plan.seed = 23;
   plan.rules.push_back(Always(FaultKind::kDelay, /*max_triggers=*/1));
-  FaultyNetwork net(plan);
+  Network net;
+  net.AttachFaultInjector(plan);
   Register(&net);
   net.BeginRound("r1");
   ASSERT_TRUE(net.SendFramed(a_, b_, ProtocolId::kSecureSum, 1, {5}).ok());
@@ -142,14 +149,15 @@ TEST_F(FaultTest, DelayedFrameSurfacesAtNextRound) {
   EXPECT_TRUE(net.HasPending(b_, a_));
   EXPECT_EQ(net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1)
                 .ValueOrDie()[0], 5);
-  EXPECT_EQ(net.fault_stats().delayed, 1u);
+  EXPECT_EQ(net.fault_stats()->delayed, 1u);
 }
 
 TEST_F(FaultTest, PersistentDropExhaustsBoundedAttempts) {
   FaultPlan plan;
   plan.seed = 29;
   plan.rules.push_back(Always(FaultKind::kDrop));  // Unlimited budget.
-  FaultyNetwork net(plan);
+  Network net;
+  net.AttachFaultInjector(plan);
   Register(&net);
   net.BeginRound("hopeless round");
   ASSERT_TRUE(net.SendFramed(a_, b_, ProtocolId::kSecureSum, 1, {1}).ok());
@@ -166,7 +174,8 @@ TEST_F(FaultTest, CrashedPartyYieldsCleanProtocolError) {
   FaultPlan plan;
   plan.seed = 31;
   plan.crash = CrashSpec{/*party=*/0, /*after_round=*/0};
-  FaultyNetwork net(plan);
+  Network net;
+  net.AttachFaultInjector(plan);
   Register(&net);
   net.BeginRound("r1");  // Round index 0: A still alive.
   ASSERT_TRUE(net.SendFramed(a_, b_, ProtocolId::kSecureSum, 1, {1}).ok());
@@ -178,25 +187,27 @@ TEST_F(FaultTest, CrashedPartyYieldsCleanProtocolError) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kProtocolError);
   EXPECT_NE(r.status().message().find("crashed"), std::string::npos);
-  EXPECT_GE(net.fault_stats().crash_dropped, 1u);
-  EXPECT_GE(net.fault_stats().retransmits_refused, 1u);
+  EXPECT_GE(net.fault_stats()->crash_dropped, 1u);
+  EXPECT_GE(net.fault_stats()->retransmits_refused, 1u);
 }
 
 TEST_F(FaultTest, RetransmitRefusedForUnknownSequence) {
-  FaultyNetwork net(FaultPlan::None());
+  Network net;
+  net.AttachFaultInjector(FaultPlan::None());
   Register(&net);
   net.BeginRound("r1");
   auto r = net.RequestRetransmit(b_, a_, /*seq=*/99);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("seq 99"), std::string::npos);
-  EXPECT_EQ(net.fault_stats().retransmits_refused, 1u);
+  EXPECT_EQ(net.fault_stats()->retransmits_refused, 1u);
 }
 
 TEST_F(FaultTest, RetransmissionsAreMetered) {
   FaultPlan plan;
   plan.seed = 37;
   plan.rules.push_back(Always(FaultKind::kDrop, /*max_triggers=*/1));
-  FaultyNetwork net(plan);
+  Network net;
+  net.AttachFaultInjector(plan);
   Register(&net);
   net.BeginRound("r1");
   ASSERT_TRUE(net.SendFramed(a_, b_, ProtocolId::kSecureSum, 1,
@@ -211,7 +222,8 @@ TEST_F(FaultTest, RetransmissionsAreMetered) {
 
 TEST_F(FaultTest, SameSeedSameSchedule) {
   auto run = [this](uint64_t seed) {
-    FaultyNetwork net(FaultPlan::RandomPlan(seed, 2));
+    Network net;
+    net.AttachFaultInjector(FaultPlan::RandomPlan(seed, 2));
     Register(&net);
     net.BeginRound("r1");
     std::vector<bool> outcomes;
@@ -221,7 +233,7 @@ TEST_F(FaultTest, SameSeedSameSchedule) {
       outcomes.push_back(
           net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1).ok());
     }
-    return std::make_pair(outcomes, net.fault_stats().injected());
+    return std::make_pair(outcomes, net.fault_stats()->injected());
   };
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     auto first = run(seed);
@@ -262,7 +274,8 @@ TEST_F(FaultTest, EarlyFrameStashIsBounded) {
   FaultPlan plan;
   FaultRule drop_first = Always(FaultKind::kDrop, /*max_triggers=*/1);
   plan.rules.push_back(drop_first);
-  FaultyNetwork net(plan);
+  Network net;
+  net.AttachFaultInjector(plan);
   Register(&net);
   net.BeginRound("flood");
   for (int i = 0; i < 70; ++i) {
@@ -292,7 +305,8 @@ TEST_F(FaultTest, EarlyFrameStashIsBounded) {
 TEST_F(FaultTest, CrashRestartWindowSilencesOnlyItsRounds) {
   FaultPlan plan;
   plan.crash = CrashSpec{/*party=*/1, /*after_round=*/0, /*restart_round=*/2};
-  FaultyNetwork net(plan);
+  Network net;
+  net.AttachFaultInjector(plan);
   Register(&net);
 
   net.BeginRound("r0");  // Round index 0: before the window, b is up.
@@ -302,7 +316,7 @@ TEST_F(FaultTest, CrashRestartWindowSilencesOnlyItsRounds) {
   net.BeginRound("r1");  // Round index 1: inside (0, 2), b is down.
   ASSERT_TRUE(net.Send(b_, a_, {2}).ok());
   EXPECT_FALSE(net.HasPending(a_, b_));
-  EXPECT_EQ(net.fault_stats().crash_dropped, 1u);
+  EXPECT_EQ(net.fault_stats()->crash_dropped, 1u);
 
   net.BeginRound("r2");  // Round index 2: restarted, b is up again.
   ASSERT_TRUE(net.Send(b_, a_, {3}).ok());

@@ -422,21 +422,27 @@ TEST(SocketTransportTest, RetransmitServedFromPristineLogOverLiveLink) {
 
   net.BeginRound("socket.retransmit");
   ASSERT_TRUE(net.SendFramed(h, p1, ProtocolId::kSecureSum, 1, {1, 2}).ok());
-  ASSERT_TRUE(net.RecvValidated(p1, h, ProtocolId::kSecureSum, 1).ok());
 
-  // The pristine log serves a re-request for the already-delivered frame
-  // (sequence numbers start at 0) and refuses unknown sequences.
+  // Until the receiver accepts it, the pristine log serves a re-request for
+  // the frame over the live link (sequence numbers start at 0).
   auto served = net.RequestRetransmit(p1, h, /*seq=*/0);
   ASSERT_TRUE(served.ok()) << served.status().message();
   EXPECT_EQ(PeekEnvelopeSeq(served.ValueOrDie()).ValueOrDie(), 0u);
-  auto unknown = net.RequestRetransmit(p1, h, /*seq=*/999);
-  ASSERT_FALSE(unknown.ok());
-  EXPECT_NE(unknown.status().message().find("no frame with seq"),
-            std::string::npos);
+  EXPECT_EQ(net.RetainedFrameCount(), 1u);
+
+  // Accepting the frame drops its copy, so the log stays bounded: a
+  // consumed sequence is refused just like one that was never sent.
+  ASSERT_TRUE(net.RecvValidated(p1, h, ProtocolId::kSecureSum, 1).ok());
+  EXPECT_EQ(net.RetainedFrameCount(), 0u);
+  for (uint64_t seq : {uint64_t{0}, uint64_t{999}}) {
+    auto refused = net.RequestRetransmit(p1, h, seq);
+    ASSERT_FALSE(refused.ok()) << "seq " << seq;
+    EXPECT_NE(refused.status().message().find("no frame with seq"), std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// The shared fault decorator over sockets.
+// Network::AttachFaultInjector over sockets.
 
 TEST(SocketTransportTest, AttachedInjectorExposesFaultStats) {
   DaemonThread daemon;
@@ -459,7 +465,7 @@ TEST(SocketTransportTest, AttachedInjectorExposesFaultStats) {
 TEST(SocketTransportTest, DroppedFrameIsRepairedByRetransmissionOverWire) {
   // One deterministic drop rule on the (H -> P1) channel: the first
   // delivery is swallowed, RecvValidated requests a retransmission, the
-  // injector serves the pristine copy, and the payload arrives intact.
+  // pristine log serves it, and the payload arrives intact.
   DaemonThread daemon;
   SocketNetwork net(FastConfig());
   PartyId h = net.RegisterParty("H");
