@@ -11,13 +11,11 @@ void ActionLog::Add(const ActionRecord& record) {
     // Keep the earliest occurrence.
     if (record.time < records_[it->second].time) {
       records_[it->second].time = record.time;
-      InvalidateIndex();
     }
     return;
   }
   seen_.emplace(key, records_.size());
   records_.push_back(record);
-  InvalidateIndex();
 }
 
 void ActionLog::Merge(const ActionLog& other) {
@@ -55,22 +53,6 @@ std::vector<ActionRecord> ActionLog::RecordsOfAction(ActionId action) const {
     if (r.action == action) out.push_back(r);
   }
   return out;
-}
-
-void ActionLog::BuildIndex() const {
-  user_index_.clear();
-  for (const auto& r : records_) {
-    user_index_[r.user][r.action] = r.time;
-  }
-  index_built_ = true;
-}
-
-const std::unordered_map<ActionId, uint64_t>& ActionLog::UserIndex(
-    NodeId user) const {
-  if (!index_built_) BuildIndex();
-  static const std::unordered_map<ActionId, uint64_t> kEmpty;
-  auto it = user_index_.find(user);
-  return it == user_index_.end() ? kEmpty : it->second;
 }
 
 }  // namespace psi

@@ -58,24 +58,13 @@ class ActionLog {
   /// \brief All records of one action, unsorted.
   std::vector<ActionRecord> RecordsOfAction(ActionId action) const;
 
-  /// \brief Per-user (action -> time) index; built once, reused by counters.
-  const std::unordered_map<ActionId, uint64_t>& UserIndex(NodeId user) const;
-
  private:
   static uint64_t Key(NodeId user, ActionId action) {
     return (static_cast<uint64_t>(user) << 32) | action;
   }
 
-  void InvalidateIndex() { index_built_ = false; }
-  void BuildIndex() const;
-
   std::vector<ActionRecord> records_;
   std::unordered_map<uint64_t, size_t> seen_;  // (user, action) -> record idx
-
-  // Lazily built per-user indices.
-  mutable bool index_built_ = false;
-  mutable std::unordered_map<NodeId, std::unordered_map<ActionId, uint64_t>>
-      user_index_;
 };
 
 }  // namespace psi

@@ -567,17 +567,9 @@ Status ReadBigUInt(BinaryReader* r, BigUInt* out) {
   // is malformed; checking against remaining() (instead of a fixed cap)
   // keeps a tiny buffer from driving a large allocation.
   PSI_RETURN_NOT_OK(r->ReadCount(&count, /*min_bytes_per_element=*/8));
-  std::vector<uint8_t> bytes(static_cast<size_t>(count) * 8);
-  BigUInt v;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t limb;
-    PSI_RETURN_NOT_OK(r->ReadU64(&limb));
-    for (size_t b = 0; b < 8; ++b) {
-      bytes[static_cast<size_t>(i) * 8 + b] =
-          static_cast<uint8_t>((limb >> (8 * b)) & 0xff);
-    }
-  }
-  *out = BigUInt::FromLittleEndianBytes(bytes);
+  std::vector<uint64_t> limbs(static_cast<size_t>(count));
+  for (uint64_t& limb : limbs) PSI_RETURN_NOT_OK(r->ReadU64(&limb));
+  *out = BigUInt::FromLimbs(limbs.data(), limbs.size());
   return Status::OK();
 }
 

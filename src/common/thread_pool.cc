@@ -1,6 +1,9 @@
 #include "common/thread_pool.h"
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <utility>
 
@@ -11,6 +14,13 @@ namespace {
 // True while the current thread is executing a pool job: nested ParallelFor
 // calls run serially instead of deadlocking on the shared workers.
 thread_local bool t_inside_pool_job = false;
+
+// Set in a child process forked after any pool started. Only the forking
+// thread survives fork(), so the parent's workers never pick up a job there
+// and every pool runs its loops serially instead of waiting forever.
+std::atomic<bool> g_forked_child{false};
+
+void MarkForkedChild() { g_forked_child.store(true, std::memory_order_relaxed); }
 
 size_t DefaultNumThreads() {
   if (const char* env = std::getenv("PSI_THREADS")) {
@@ -27,6 +37,8 @@ size_t DefaultNumThreads() {
 }  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
+  static const int registered = pthread_atfork(nullptr, nullptr, &MarkForkedChild);
+  (void)registered;
   StartWorkers(std::max<size_t>(num_threads, 1));
 }
 
@@ -105,7 +117,8 @@ void ThreadPool::WorkerLoop(size_t worker_index, uint64_t seen_epoch) {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  if (num_threads_ == 1 || n == 1 || t_inside_pool_job) {
+  if (num_threads_ == 1 || n == 1 || t_inside_pool_job ||
+      g_forked_child.load(std::memory_order_relaxed)) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }

@@ -23,7 +23,8 @@
 // The pool size comes from the PSI_THREADS environment variable when set
 // (clamped to [1, 64]), else std::thread::hardware_concurrency(). Nested
 // ParallelFor calls from inside a worker degrade to serial instead of
-// deadlocking on the shared pool.
+// deadlocking on the shared pool, and so does every call in a child process
+// forked after the pool started (the parent's workers do not exist there).
 
 #ifndef PSI_COMMON_THREAD_POOL_H_
 #define PSI_COMMON_THREAD_POOL_H_

@@ -64,18 +64,6 @@ TEST(ActionLogTest, RecordsOfActionFilters) {
   EXPECT_TRUE(log.RecordsOfAction(9).empty());
 }
 
-TEST(ActionLogTest, UserIndexReflectsUpdates) {
-  ActionLog log;
-  log.Add({1, 1, 10});
-  EXPECT_EQ(log.UserIndex(1).at(1), 10u);
-  log.Add({1, 2, 20});
-  // Index rebuilds lazily after mutation.
-  EXPECT_EQ(log.UserIndex(1).size(), 2u);
-  log.Add({1, 1, 5});  // Earlier duplicate updates the time.
-  EXPECT_EQ(log.UserIndex(1).at(1), 5u);
-  EXPECT_TRUE(log.UserIndex(42).empty());
-}
-
 TEST(ActionLogTest, LookupWithoutOutParam) {
   ActionLog log;
   log.Add({1, 1, 10});

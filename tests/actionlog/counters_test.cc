@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "actionlog/generator.h"
+#include "common/thread_pool.h"
 #include "graph/generators.h"
 
 namespace psi {
@@ -142,6 +143,108 @@ TEST(CountersTest, ScaledWeightsRounding) {
 TEST(CountersTest, EmptyPairListIsFine) {
   auto b = ComputeFollowCounts(SmallLog(), {}, 4);
   EXPECT_TRUE(b.empty());
+}
+
+// Brute-force c^l_ij straight from records(): for every record of i, scan
+// every record of j for the same action.
+std::vector<std::vector<uint64_t>> ReferenceExactDelayCounts(
+    const ActionLog& log, const std::vector<Arc>& pairs, uint64_t h) {
+  std::vector<std::vector<uint64_t>> c(pairs.size(), std::vector<uint64_t>(h, 0));
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    for (const auto& ri : log.records()) {
+      if (ri.user != pairs[p].from) continue;
+      for (const auto& rj : log.records()) {
+        if (rj.user != pairs[p].to || rj.action != ri.action) continue;
+        if (rj.time > ri.time && rj.time - ri.time <= h) {
+          ++c[p][rj.time - ri.time - 1];
+        }
+      }
+    }
+  }
+  return c;
+}
+
+// A random log over users [0, 12) in which users 3 and 7 never act, built
+// from both Add and Merge, with repeated (user, action) pairs whose later
+// copy carries an earlier time.
+ActionLog RandomLog(Rng* rng) {
+  ActionLog log, other;
+  for (int k = 0; k < 150; ++k) {
+    NodeId user = static_cast<NodeId>(rng->UniformU64(12));
+    if (user == 3 || user == 7) continue;
+    ActionRecord rec{user, static_cast<ActionId>(rng->UniformU64(15)),
+                     rng->UniformU64(30)};
+    (k % 3 == 0 ? other : log).Add(rec);
+    if (rng->UniformU64(4) == 0 && rec.time > 0) {
+      rec.time -= 1 + rng->UniformU64(rec.time);
+      log.Add(rec);
+    }
+  }
+  log.Merge(other);
+  return log;
+}
+
+// Pairs over [0, 15): endpoints beyond the largest user id, users with no
+// actions, and self-pairs i == j all occur.
+std::vector<Arc> RandomPairs(Rng* rng) {
+  std::vector<Arc> pairs;
+  for (NodeId i = 0; i < 15; ++i) pairs.push_back({i, i});
+  for (int k = 0; k < 300; ++k) {
+    pairs.push_back({static_cast<NodeId>(rng->UniformU64(15)),
+                     static_cast<NodeId>(rng->UniformU64(15))});
+  }
+  return pairs;
+}
+
+TEST(CountersTest, MatchBruteForceAtEveryPoolSize) {
+  const size_t saved_threads = ThreadPool::Global().num_threads();
+  Rng rng(2024);
+  for (int trial = 0; trial < 20; ++trial) {
+    const ActionLog log = RandomLog(&rng);
+    const std::vector<Arc> pairs = RandomPairs(&rng);
+    const size_t num_users = 15;
+    std::vector<uint64_t> expected_a(num_users, 0);
+    for (const auto& r : log.records()) ++expected_a[r.user];
+    for (size_t threads : {1u, 2u, 8u}) {
+      ThreadPool::Global().SetNumThreads(threads);
+      ASSERT_EQ(ComputeActionCounts(log, num_users), expected_a);
+      for (uint64_t h : {1u, 4u, 9u}) {
+        const auto expected_c = ReferenceExactDelayCounts(log, pairs, h);
+        std::vector<uint64_t> expected_b(pairs.size(), 0);
+        for (size_t p = 0; p < pairs.size(); ++p) {
+          for (uint64_t x : expected_c[p]) expected_b[p] += x;
+        }
+        ASSERT_EQ(ComputeExactDelayCounts(log, pairs, h), expected_c)
+            << "trial " << trial << " threads " << threads << " h " << h;
+        ASSERT_EQ(ComputeFollowCounts(log, pairs, h), expected_b)
+            << "trial " << trial << " threads " << threads << " h " << h;
+      }
+    }
+  }
+  ThreadPool::Global().SetNumThreads(saved_threads);
+}
+
+TEST(CountersTest, CountsReflectLaterAddAndMerge) {
+  // The counters keep no cache across calls: a count taken after further
+  // Add/Merge calls on the same log sees the new records.
+  ActionLog log;
+  log.Add({1, 1, 10});
+  log.Add({2, 1, 12});
+  const std::vector<Arc> pairs{{1, 2}, {2, 1}, {1, 42}};
+  EXPECT_EQ(ComputeFollowCounts(log, pairs, 3), (std::vector<uint64_t>{1, 0, 0}));
+  log.Add({1, 2, 20});
+  log.Add({2, 2, 21});
+  EXPECT_EQ(ComputeFollowCounts(log, pairs, 3), (std::vector<uint64_t>{2, 0, 0}));
+  log.Add({1, 1, 5});  // Earlier duplicate: delay on action 1 grows to 7.
+  EXPECT_EQ(ComputeFollowCounts(log, pairs, 3), (std::vector<uint64_t>{1, 0, 0}));
+  ActionLog later;
+  later.Add({42, 2, 22});
+  later.Add({2, 2, 19});  // Earlier copy: user 2 now acts before user 1.
+  log.Merge(later);
+  EXPECT_EQ(ComputeFollowCounts(log, pairs, 3), (std::vector<uint64_t>{0, 1, 1}));
+  const std::vector<std::vector<uint64_t>> delays{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}};
+  EXPECT_EQ(ComputeExactDelayCounts(log, pairs, 3), delays);
+  EXPECT_EQ(ComputeActionCounts(log, 3), (std::vector<uint64_t>{0, 2, 2}));
 }
 
 }  // namespace

@@ -248,6 +248,47 @@ TEST(BigUIntTest, SerializationRoundTrip) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+TEST(BigUIntTest, ReadBigUIntRoundTripsExactLimbs) {
+  const uint64_t limbs[] = {0x0123456789abcdefull, 0, 0xfedcba9876543210ull};
+  for (const BigUInt& v : {BigUInt(), BigUInt(1), BigUInt::FromLimbs(limbs, 3)}) {
+    BinaryWriter w;
+    WriteBigUInt(&w, v);
+    BinaryReader r(w.buffer());
+    BigUInt decoded = 99;
+    ASSERT_TRUE(ReadBigUInt(&r, &decoded).ok());
+    EXPECT_EQ(decoded, v);
+    EXPECT_EQ(decoded.num_limbs(), v.num_limbs());
+    EXPECT_TRUE(r.AtEnd());
+  }
+}
+
+TEST(BigUIntTest, ReadBigUIntNormalizesHighZeroLimbs) {
+  // Writers never emit high zero limbs, but a reader accepts them and
+  // normalizes, so the value compares equal to its canonical form.
+  BinaryWriter w;
+  w.WriteVarU64(3);
+  w.WriteU64(42);
+  w.WriteU64(0);
+  w.WriteU64(0);
+  BinaryReader r(w.buffer());
+  BigUInt v;
+  ASSERT_TRUE(ReadBigUInt(&r, &v).ok());
+  EXPECT_EQ(v, BigUInt(42));
+  EXPECT_EQ(v.num_limbs(), 1u);
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(BigUIntTest, ReadBigUIntRejectsTruncatedLimbs) {
+  BinaryWriter w;
+  w.WriteVarU64(3);  // Claims three limbs ...
+  w.WriteU64(1);
+  w.WriteU64(2);  // ... but carries two.
+  BinaryReader r(w.buffer());
+  BigUInt v = 7;
+  EXPECT_EQ(ReadBigUInt(&r, &v).code(), StatusCode::kSerializationError);
+  EXPECT_EQ(v, BigUInt(7));  // Output untouched on failure.
+}
+
 TEST(BigUIntTest, SerializedSizeMatchesActual) {
   Rng rng(1005);
   for (int i = 0; i < 50; ++i) {

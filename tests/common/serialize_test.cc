@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "common/random.h"
+
 namespace psi {
 namespace {
 
@@ -237,6 +239,31 @@ TEST(SerializeTest, Crc32KnownVectors) {
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
   const char* a = "a";
   EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(a), 1), 0xE8B7BE43u);
+}
+
+// The classic byte-at-a-time CRC-32 (reflected polynomial 0xEDB88320), kept
+// as the reference for the table-driven implementation.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(SerializeTest, Crc32MatchesByteWiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(0xc0c);
+  std::vector<uint8_t> buf(4096 + 8);
+  rng.FillBytes(buf.data(), buf.size());
+  const char* check = "123456789";
+  EXPECT_EQ(ReferenceCrc32(reinterpret_cast<const uint8_t*>(check), 9), 0xCBF43926u);
+  for (size_t len = 0; len <= 4096; ++len) {
+    const uint8_t* start = buf.data() + len % 8;  // Every misalignment.
+    ASSERT_EQ(Crc32(start, len), ReferenceCrc32(start, len)) << "len " << len;
+  }
 }
 
 TEST(SerializeTest, Crc32DistinguishesNearbyBuffers) {

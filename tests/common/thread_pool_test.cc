@@ -1,6 +1,8 @@
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <numeric>
@@ -192,6 +194,29 @@ TEST_F(ThreadPoolTest, ConcurrentExternalCallersEachRunEveryIndexOnce) {
   b.join();
   EXPECT_EQ(wrong_a.load(), 0u) << "indices not run exactly once (caller A)";
   EXPECT_EQ(wrong_b.load(), 0u) << "indices not run exactly once (caller B)";
+}
+
+TEST_F(ThreadPoolTest, ForkedChildRunsLoopsSerially) {
+  // Only the forking thread survives fork(), so a child that submits pool
+  // work must run it itself instead of waiting on workers that do not exist
+  // there (a forked test daemon serving a pooled stage used to hang).
+  ThreadPool::Global().SetNumThreads(4);
+  ParallelFor(8, [](size_t) {});  // The workers are up and idle.
+  const pid_t pid = fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    alarm(10);  // A hang ends the child by SIGALRM instead of stalling ctest.
+    std::vector<uint64_t> out(1000);
+    ParallelFor(out.size(), [&](size_t i) { out[i] = i * i; });
+    for (size_t i = 0; i < out.size(); ++i) {
+      if (out[i] != i * i) _exit(1);
+    }
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child hung or crashed";
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace
