@@ -1,8 +1,8 @@
 // Fixed-width limb engine benches: every pair BM_Foo / BM_FooHeap measures
 // the same operation with the engine attached vs forced onto the heap
 // BigUInt path (ScopedHeapOnlyModPow / EngineMode::kHeapOnly) in the same
-// run, so tools/check_bench_bigint.py can gate on machine-independent
-// same-run ratios. BENCH_bigint.json is the committed baseline.
+// run, so tools/check_bench.py can gate on machine-independent same-run
+// ratios. BENCH_bigint.json is the committed baseline.
 
 #include <benchmark/benchmark.h>
 

@@ -1,21 +1,23 @@
-// Shared main() for the google-benchmark binaries. The stock
-// BENCHMARK_MAIN() is not enough for our JSON gates: the library-provided
-// "library_build_type" context key describes how *libbenchmark* was built,
-// not this binary — a Release psi build linked against a distro debug
-// libbenchmark reports "debug". PSI_BENCHMARK_MAIN() stamps the context
-// with the truth about this binary (psi_build_type), which limb-kernel
-// variant the one-time CPU dispatch selected (psi_limb_kernel), and the
-// host facts a wall-clock number depends on: the cores the OS reports
-// (psi_nproc) and the global pool size (psi_threads, from PSI_THREADS). The
-// tools/check_bench_*.py gates refuse to accept debug numbers.
+// The host context every bench JSON carries, and the shared main() for the
+// google-benchmark binaries. The stock BENCHMARK_MAIN() is not enough for
+// our JSON gates: the library-provided "library_build_type" context key
+// describes how *libbenchmark* was built, not this binary — a Release psi
+// build linked against a distro debug libbenchmark reports "debug".
+// HostContext() names the truth about this binary (psi_build_type), which
+// limb-kernel variant the one-time CPU dispatch selected (psi_limb_kernel),
+// and the host facts a wall-clock number depends on: the cores the OS
+// reports (psi_nproc) and the global pool size (psi_threads, from
+// PSI_THREADS). PSI_BENCHMARK_MAIN() stamps it into google-benchmark's
+// context, and the scenario benches' emitter (bench_json.h) into theirs.
+// tools/check_bench.py refuses debug numbers.
 
 #ifndef PSI_BENCH_BENCH_MAIN_H_
 #define PSI_BENCH_BENCH_MAIN_H_
 
-#include <benchmark/benchmark.h>
-
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "bigint/limb_kernel.h"
 #include "common/thread_pool.h"
@@ -23,36 +25,37 @@
 namespace psi {
 namespace bench {
 
+/// \brief The host context keys, in order, with their string values.
+inline std::vector<std::pair<std::string, std::string>> HostContext() {
 #ifdef NDEBUG
-inline constexpr const char kPsiBuildType[] = "release";
+  const char* build_type = "release";
 #else
-inline constexpr const char kPsiBuildType[] = "debug";
+  const char* build_type = "debug";
 #endif
-
-/// \brief Stamps the host facts a wall-clock number depends on.
-inline void AddHostContext() {
-  const unsigned nproc = std::thread::hardware_concurrency();
-  const size_t threads = ThreadPool::Global().num_threads();
-  benchmark::AddCustomContext("psi_nproc", std::to_string(nproc));
-  benchmark::AddCustomContext("psi_threads", std::to_string(threads));
+  return {
+      {"psi_build_type", build_type},
+      {"psi_limb_kernel", limb_kernel::VariantName(limb_kernel::ActiveVariant())},
+      {"psi_nproc", std::to_string(std::thread::hardware_concurrency())},
+      {"psi_threads", std::to_string(ThreadPool::Global().num_threads())},
+  };
 }
 
 }  // namespace bench
 }  // namespace psi
 
-#define PSI_BENCHMARK_MAIN()                                                 \
-  int main(int argc, char** argv) {                                          \
-    benchmark::AddCustomContext("psi_build_type", psi::bench::kPsiBuildType); \
-    benchmark::AddCustomContext(                                             \
-        "psi_limb_kernel",                                                   \
-        psi::limb_kernel::VariantName(psi::limb_kernel::ActiveVariant()));   \
-    psi::bench::AddHostContext();                                            \
-    benchmark::Initialize(&argc, argv);                                      \
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;        \
-    benchmark::RunSpecifiedBenchmarks();                                     \
-    benchmark::Shutdown();                                                   \
-    return 0;                                                                \
-  }                                                                          \
+// Expands to main(); the including file must include <benchmark/benchmark.h>
+// (this header does not, so the scenario benches need no libbenchmark).
+#define PSI_BENCHMARK_MAIN()                                          \
+  int main(int argc, char** argv) {                                   \
+    for (const auto& [key, value] : psi::bench::HostContext()) {      \
+      benchmark::AddCustomContext(key, value);                        \
+    }                                                                 \
+    benchmark::Initialize(&argc, argv);                               \
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
+    benchmark::RunSpecifiedBenchmarks();                              \
+    benchmark::Shutdown();                                            \
+    return 0;                                                         \
+  }                                                                   \
   static_assert(true, "require a trailing semicolon")
 
 #endif  // PSI_BENCH_BENCH_MAIN_H_

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
+#include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -221,12 +224,10 @@ struct P4SessionRun {
   std::vector<TranscriptNetwork::Frame> frames;
 };
 
-P4SessionRun RunP4SessionOnce(const P4World& w, size_t num_threads,
-                              uint64_t crash_after) {
-  ThreadPool::Global().SetNumThreads(num_threads);
-  FaultPlan plan;
-  plan.crash = CrashSpec{/*party=*/1, crash_after, crash_after + 3};
-  // The transcript records every frame the crash plan lets onto the wire.
+// One P4 session with fixed seeds on its own network. It shares nothing with
+// a session on another thread except the global pool.
+P4SessionRun RunP4Session(const P4World& w, const FaultPlan& plan) {
+  // The transcript records every frame the fault plan lets onto the wire.
   TranscriptNetwork net;
   net.AttachFaultInjector(plan);
   PartyId host = net.RegisterParty("H");
@@ -246,6 +247,14 @@ P4SessionRun RunP4SessionOnce(const P4World& w, size_t num_threads,
                                 &run.stats);
   run.frames = net.frames();
   return run;
+}
+
+P4SessionRun RunP4SessionOnce(const P4World& w, size_t num_threads,
+                              uint64_t crash_after) {
+  ThreadPool::Global().SetNumThreads(num_threads);
+  FaultPlan plan;
+  plan.crash = CrashSpec{/*party=*/1, crash_after, crash_after + 3};
+  return RunP4Session(w, plan);
 }
 
 TEST_F(DeterminismTest, ResumedSessionTranscriptInvariantUnderThreadCount) {
@@ -280,6 +289,47 @@ TEST_F(DeterminismTest, ResumedSessionTranscriptInvariantUnderThreadCount) {
   ASSERT_EQ(a.p.size(), b.p.size());
   for (size_t e = 0; e < a.p.size(); ++e) {
     ASSERT_EQ(a.p[e], b.p[e]) << "arc " << e;
+  }
+}
+
+TEST_F(DeterminismTest, ConcurrentP4SessionsMatchSerialAtEveryPoolSize) {
+  // Sessions in {1, 2, 4} run at once on their own threads, at pool sizes
+  // {1, 2, 8}. They share the global pool, so each must still reproduce the
+  // lone session's transcript and estimates at pool size 1 bit for bit.
+  const P4World w = MakeP4World();
+  ThreadPool::Global().SetNumThreads(1);
+  const P4SessionRun serial = RunP4Session(w, FaultPlan::None());
+  ASSERT_TRUE(serial.result.ok()) << serial.result.status().ToString();
+  const LinkInfluence& want = serial.result.ValueOrDie();
+
+  for (size_t threads : {1u, 2u, 8u}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    for (size_t sessions : {1u, 2u, 4u}) {
+      std::vector<P4SessionRun> runs(sessions);
+      std::vector<std::thread> workers;
+      for (size_t s = 0; s < sessions; ++s) {
+        workers.emplace_back(
+            [&w, &runs, s] { runs[s] = RunP4Session(w, FaultPlan::None()); });
+      }
+      for (std::thread& worker : workers) worker.join();
+
+      for (size_t s = 0; s < sessions; ++s) {
+        SCOPED_TRACE("pool " + std::to_string(threads) + ", session " +
+                     std::to_string(s + 1) + " of " + std::to_string(sessions));
+        const P4SessionRun& run = runs[s];
+        ASSERT_TRUE(run.result.ok()) << run.result.status().ToString();
+        EXPECT_EQ(run.frames.size(), serial.frames.size());
+        EXPECT_TRUE(run.frames == serial.frames) << "transcript differs";
+        const LinkInfluence& got = run.result.ValueOrDie();
+        EXPECT_EQ(got.pairs, want.pairs);
+        ASSERT_EQ(got.p.size(), want.p.size());
+        for (size_t e = 0; e < want.p.size(); ++e) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(got.p[e]),
+                    std::bit_cast<uint64_t>(want.p[e]))
+              << "arc " << e;
+        }
+      }
+    }
   }
 }
 
