@@ -308,6 +308,9 @@ BENCHMARK(BM_FixedBaseTablePow)->Arg(512)->Arg(1024);
 
 // ------------------------------------------------------------- protocols --
 
+// Args: (counters, modulus). Modulus 0 is S = 2^128 with A = 2^20, the
+// multi-limb check; modulus 1 is the p4_secure_sum perfbench geometry,
+// S = RecommendedModulus(200, counters, 40) (2^63: one-limb shares).
 void BM_Protocol2Batch(benchmark::State& state) {
   const auto counters = static_cast<size_t>(state.range(0));
   Network net;
@@ -318,8 +321,14 @@ void BM_Protocol2Batch(benchmark::State& state) {
   Rng r1(1), r2(2), r3(3), secret(4);
   std::vector<Rng*> rngs{&r1, &r2, &r3};
   SecureSumConfig cfg;
-  cfg.input_bound_a = BigUInt(1u << 20);
-  cfg.modulus_s = BigUInt::PowerOfTwo(128);
+  if (state.range(1) == 0) {
+    cfg.input_bound_a = BigUInt(1u << 20);
+    cfg.modulus_s = BigUInt::PowerOfTwo(128);
+  } else {
+    cfg.input_bound_a = BigUInt(200);
+    cfg.modulus_s = RecommendedModulus(cfg.input_bound_a, counters, 40);
+  }
+  state.SetLabel("S=2^" + std::to_string(cfg.modulus_s.BitLength() - 1));
   std::vector<std::vector<uint64_t>> inputs(3,
                                             std::vector<uint64_t>(counters, 7));
   for (auto _ : state) {
@@ -329,7 +338,11 @@ void BM_Protocol2Batch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Protocol2Batch)->Arg(100)->Arg(1000)->Arg(5000);
+BENCHMARK(BM_Protocol2Batch)
+    ->Args({100, 0})
+    ->Args({1000, 0})
+    ->Args({5000, 0})
+    ->Args({11000, 1});
 
 // Packed vs unpacked homomorphic sum at identical inputs: the two headline
 // numbers of the packing optimisation. `bits_per_counter` meters the full

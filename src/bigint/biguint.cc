@@ -132,11 +132,20 @@ BigUInt BigUInt::RandomBits(Rng* rng, size_t bits) {
 
 BigUInt BigUInt::RandomBelow(Rng* rng, const BigUInt& bound) {
   PSI_CHECK(!bound.IsZero()) << "RandomBelow requires a positive bound";
-  size_t bits = bound.BitLength();
-  for (;;) {
-    BigUInt candidate = RandomBits(rng, bits);
-    if (candidate < bound) return candidate;
-  }
+  BigUInt v;
+  v.limbs_.resize(bound.limbs_.size());
+  DrawBelow(rng, bound.limbs_.data(), bound.limbs_.size(), v.limbs_.data());
+  v.Normalize();
+  return v;
+}
+
+void DrawBelow(Rng* rng, const uint64_t* bound, size_t n, uint64_t* out) {
+  const uint64_t top_bits = std::bit_width(bound[n - 1]);
+  const uint64_t top_mask = top_bits == 64 ? ~0ull : (1ull << top_bits) - 1;
+  do {
+    for (size_t i = 0; i < n; ++i) out[i] = rng->NextU64();
+    out[n - 1] &= top_mask;
+  } while (limb_kernel::Compare(out, bound, n) >= 0);
 }
 
 size_t BigUInt::BitLength() const {

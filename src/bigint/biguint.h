@@ -140,6 +140,13 @@ double DivideToDouble(const BigUInt& a, const BigUInt& b);
 /// the Z-distributed masks of Protocol 3 are unbounded above).
 [[nodiscard]] Result<BigUInt> BigUIntFromDouble(double d);
 
+/// \brief The sampler under BigUInt::RandomBelow, over raw limbs: writes a
+/// uniform value in [0, bound) to out[0 .. n), where bound[0 .. n) is
+/// normalized (bound[n-1] != 0). Each candidate is n fresh Rng words with
+/// the top one masked to the bound's bit length; candidates >= bound are
+/// redrawn. Protocol transcripts depend on this exact draw sequence.
+void DrawBelow(Rng* rng, const uint64_t* bound, size_t n, uint64_t* out);
+
 /// \brief Wire format: varint limb count, then limbs.
 void WriteBigUInt(BinaryWriter* w, const BigUInt& v);
 [[nodiscard]] Status ReadBigUInt(BinaryReader* r, BigUInt* out);

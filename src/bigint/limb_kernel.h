@@ -128,6 +128,55 @@ inline int CompareFixed(const uint64_t* a, const uint64_t* b) {
   return 0;
 }
 
+// -- runtime-width kernels (header-only) ---------------------------------------
+// The batched secure sum (mpc/secure_sum.cc) keeps each share as a row of
+// n = S.num_limbs() limbs in one flat buffer and runs these per row. They
+// are the AddFixed/SubFixed/CompareFixed loops with a runtime n. The
+// templates do not forward here: forwarding changed the code generated for
+// the fixed-width Montgomery kernels.
+
+/// out = a + b over n limbs; returns the carry out (0 or 1). `out` may
+/// alias either input.
+inline uint64_t Add(const uint64_t* a, const uint64_t* b, uint64_t* out,
+                    size_t n) {
+  uint64_t carry = 0;
+  for (size_t i = 0; i < n; ++i) {
+    u128 sum = static_cast<u128>(a[i]) + b[i] + carry;
+    out[i] = static_cast<uint64_t>(sum);
+    carry = static_cast<uint64_t>(sum >> 64);
+  }
+  return carry;
+}
+
+/// out = a - b over n limbs; returns the borrow out (0 or 1). `out` may
+/// alias either input.
+inline uint64_t Sub(const uint64_t* a, const uint64_t* b, uint64_t* out,
+                    size_t n) {
+  uint64_t borrow = 0;
+  for (size_t i = 0; i < n; ++i) {
+    u128 lhs = a[i];
+    u128 rhs = static_cast<u128>(b[i]) + borrow;
+    out[i] = static_cast<uint64_t>(lhs - rhs);
+    borrow = lhs < rhs ? 1 : 0;
+  }
+  return borrow;
+}
+
+/// Three-way compare over n limbs (-1, 0, 1).
+inline int Compare(const uint64_t* a, const uint64_t* b, size_t n) {
+  for (size_t i = n; i-- > 0;) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
+}
+
+/// Finishes a modular add: `v` holds n limbs of carry * 2^(64n) + v, a value
+/// below 2 * mod (the sum of two residues); leaves v mod `mod` in place.
+inline void CondSubMod(uint64_t* v, uint64_t carry, const uint64_t* mod,
+                       size_t n) {
+  if (carry != 0 || Compare(v, mod, n) >= 0) Sub(v, mod, v, n);
+}
+
 /// out[0 .. 2L) = a * b, schoolbook with compile-time bounds. `out` must not
 /// alias the inputs; the kernel zeroes it.
 template <size_t L>

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "common/annotations.h"
 #include "common/serialize.h"
@@ -386,7 +387,7 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
           shares,
           secure_sum.RunProtocol2(inputs, provider_rngs, pair_secret_rng,
                                   "P4."));
-      views_.secure_sum = secure_sum.views();
+      views_.secure_sum = std::move(secure_sum).TakeViews();
     }
     session.PartyState(providers_[0])
         .Put(kKeyShare1, wire::PackBigUInts(shares.s1));

@@ -26,6 +26,7 @@
 #define PSI_MPC_PROPAGATION_PROTOCOL_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "actionlog/action_log.h"
@@ -108,6 +109,9 @@ class PropagationGraphProtocol {
       SessionOrchestrator* orchestrator = nullptr);
 
   const Protocol6Views& views() const { return views_; }
+
+  /// \brief Hands the recorded views to the caller without copying them.
+  Protocol6Views TakeViews() && { return std::move(views_); }
 
  private:
   Network* network_;

@@ -1,6 +1,8 @@
 #include "mpc/secure_sum.h"
 
-#include "bigint/modular.h"
+#include <algorithm>
+
+#include "bigint/limb_kernel.h"
 #include "common/annotations.h"
 #include "common/serialize.h"
 #include "crypto/permutation.h"
@@ -15,22 +17,89 @@ constexpr uint16_t kStepFoldIntoP2 = 4;       // Prot1 steps 4-5.
 constexpr uint16_t kStepToThirdParty = 3;     // Prot2 steps 3-4.
 constexpr uint16_t kStepComparisonBits = 6;   // Prot2 step 6.
 
-std::vector<uint8_t> PackShareVector(const std::vector<BigUInt>& shares) {
+// Shares travel and are held as flat rows: a block of `count` values of
+// `width` little-endian limbs each, value c at limbs [c*width, (c+1)*width).
+
+std::vector<uint64_t> ToRow(const BigUInt& v, size_t width) {
+  std::vector<uint64_t> row(width);
+  for (size_t i = 0; i < width; ++i) row[i] = v.limb(i);
+  return row;
+}
+
+std::vector<BigUInt> ToBigUInts(const std::vector<uint64_t>& rows,
+                                size_t width) {
+  std::vector<BigUInt> out(rows.size() / width);
+  for (size_t c = 0; c < out.size(); ++c) {
+    out[c] = BigUInt::FromLimbs(rows.data() + c * width, width);
+  }
+  return out;
+}
+
+// The share-vector wire format is WriteBigUInt per value: each row goes out
+// as its normalized limb count, then those limbs.
+std::vector<uint8_t> PackRows(const uint64_t* rows, size_t count,
+                              size_t width) {
   BinaryWriter w;
-  w.WriteVarU64(shares.size());
-  for (const auto& s : shares) WriteBigUInt(&w, s);
+  w.Reserve(10 + count * (1 + 8 * width));
+  w.WriteVarU64(count);
+  for (size_t c = 0; c < count; ++c) {
+    const uint64_t* row = rows + c * width;
+    size_t n = width;
+    while (n > 0 && row[n - 1] == 0) --n;
+    w.WriteVarU64(n);
+    for (size_t i = 0; i < n; ++i) w.WriteU64(row[i]);
+  }
   return w.TakeBuffer();
 }
 
-[[nodiscard]] Status UnpackShareVector(const std::vector<uint8_t>& buf,
-                         std::vector<BigUInt>* out) {
+// Decodes a packed vector of exactly `count` values into `width`-limb rows.
+// Any value at or above `limit` (`width` limbs) is a ProtocolError: an
+// honest peer never sends one, and accepting it would corrupt the sum.
+[[nodiscard]] Status UnpackRows(const std::vector<uint8_t>& buf, size_t count,
+                                const std::vector<uint64_t>& limit,
+                                const char* what, std::vector<uint64_t>* out) {
+  const size_t width = limit.size();
   BinaryReader r(buf);
-  uint64_t count;
-  PSI_RETURN_NOT_OK(r.ReadCount(&count));
-  out->resize(count);
-  for (auto& s : *out) PSI_RETURN_NOT_OK(ReadBigUInt(&r, &s));
+  uint64_t n = 0;
+  PSI_RETURN_NOT_OK(r.ReadCount(&n));
+  if (n != count) {
+    return Status::ProtocolError(std::string(what) + ": length mismatch");
+  }
+  out->assign(count * width, 0);
+  for (size_t c = 0; c < count; ++c) {
+    uint64_t* row = out->data() + c * width;
+    uint64_t limbs = 0;
+    PSI_RETURN_NOT_OK(r.ReadCount(&limbs, /*min_bytes_per_element=*/8));
+    bool fits = true;
+    for (uint64_t i = 0; i < limbs; ++i) {
+      uint64_t limb = 0;
+      PSI_RETURN_NOT_OK(r.ReadU64(&limb));
+      if (i < width) {
+        row[i] = limb;
+      } else if (limb != 0) {
+        fits = false;
+      }
+    }
+    if (!fits || limb_kernel::Compare(row, limit.data(), width) >= 0) {
+      return Status::ProtocolError(std::string(what) + ": value " +
+                                   std::to_string(c) + " out of range");
+    }
+  }
   if (!r.AtEnd()) return Status::SerializationError("trailing bytes");
   return Status::OK();
+}
+
+// sum[c] = sum[c] + addend[c] mod S, row by row (both blocks below S).
+void AddRowsModS(std::vector<uint64_t>* sum,
+                 const std::vector<uint64_t>& addend,
+                 const std::vector<uint64_t>& s_row) {
+  const size_t w = s_row.size();
+  for (size_t i = 0; i < sum->size(); i += w) {
+    uint64_t* row = sum->data() + i;
+    limb_kernel::CondSubMod(row,
+                            limb_kernel::Add(row, addend.data() + i, row, w),
+                            s_row.data(), w);
+  }
 }
 
 std::vector<uint8_t> PackBits(const std::vector<bool>& bits) {
@@ -71,8 +140,10 @@ std::vector<uint8_t> PackBits(const std::vector<bool>& bits) {
 
 BigUInt RecommendedModulus(const BigUInt& bound_a, uint64_t num_counters,
                            uint64_t epsilon_log2) {
-  // S >= A * (1 + 2 * num_counters * 2^epsilon_log2); round up to a power of
-  // two for uniform-sampling efficiency.
+  // S >= A * (1 + 2 * num_counters * 2^epsilon_log2), rounded up to the
+  // power of two above the target's bit length. This is not a sampling
+  // shortcut: S = 2^k has k+1 bits, so RandomBelow's k+1-bit candidates are
+  // rejected about half the time. Changing S would change every transcript.
   BigUInt target = bound_a * (BigUInt(1) +
                               (BigUInt(2) * BigUInt(num_counters)
                                << static_cast<size_t>(epsilon_log2)));
@@ -102,11 +173,17 @@ Status SecureSumProtocol::ValidateInputs(
       return Status::InvalidArgument("all input vectors must share a length");
     }
   }
-  // Per-counter sums must stay within [0, A].
+  // Per-counter sums must stay within [0, A]. The sum of m 64-bit inputs is
+  // held exactly as (carries, low word); A beyond 128 bits bounds any sum.
+  const BigUInt& a = config_.input_bound_a;
+  const bool a_unbounded = a.num_limbs() > 2;
   for (size_t c = 0; c < count; ++c) {
-    BigUInt sum;
-    for (size_t k = 0; k < m; ++k) sum += BigUInt(inputs[k][c]);
-    if (sum > config_.input_bound_a) {
+    uint64_t low = 0, carries = 0;
+    for (size_t k = 0; k < m; ++k) {
+      if (__builtin_add_overflow(low, inputs[k][c], &low)) ++carries;
+    }
+    if (!a_unbounded && (carries > a.limb(1) ||
+                         (carries == a.limb(1) && low > a.limb(0)))) {
       return Status::OutOfRange("counter sum exceeds the public bound A");
     }
   }
@@ -124,8 +201,16 @@ Status SecureSumProtocol::ValidateInputs(
 Result<BatchedModularShares> SecureSumProtocol::RunProtocol1(
     const std::vector<std::vector<uint64_t>>& inputs,
     const std::vector<Rng*>& player_rngs, const std::string& label_prefix) {
-  return DrainOnError(network_,
-                      RunProtocol1Impl(inputs, player_rngs, label_prefix));
+  Result<ShareRows> rows = RunProtocol1Impl(inputs, player_rngs, label_prefix);
+  if (!rows.ok()) {
+    return DrainOnError(network_,
+                        Result<BatchedModularShares>(rows.status()));
+  }
+  const size_t w = config_.modulus_s.num_limbs();
+  BatchedModularShares out;
+  out.s1 = ToBigUInts(rows->s1, w);
+  out.s2 = ToBigUInts(rows->s2, w);
+  return out;
 }
 
 Result<BatchedIntegerShares> SecureSumProtocol::RunProtocol2(
@@ -137,28 +222,39 @@ Result<BatchedIntegerShares> SecureSumProtocol::RunProtocol2(
                                        label_prefix));
 }
 
-Result<BatchedModularShares> SecureSumProtocol::RunProtocol1Impl(
+Result<SecureSumProtocol::ShareRows> SecureSumProtocol::RunProtocol1Impl(
     const std::vector<std::vector<uint64_t>>& inputs,
     const std::vector<Rng*>& player_rngs, const std::string& label_prefix) {
   PSI_RETURN_NOT_OK(ValidateInputs(inputs, player_rngs));
   const size_t m = players_.size();
   const size_t count = inputs[0].size();
-  const BigUInt& S = config_.modulus_s;
+  const size_t w = config_.modulus_s.num_limbs();
+  const std::vector<uint64_t> s_row = ToRow(config_.modulus_s, w);
 
   // Step 1 (local): player k splits each x_k into m uniform Z_S summands.
-  // outgoing[k][j][c] = the share of counter c that player k gives player j.
-  std::vector<std::vector<std::vector<BigUInt>>> outgoing(
-      m, std::vector<std::vector<BigUInt>>(m, std::vector<BigUInt>(count)));
+  // Block (k, j) of `outgoing` holds the shares player k gives player j.
+  std::vector<uint64_t> outgoing(m * m * count * w, 0);
+  auto block = [&](size_t k, size_t j) {
+    return outgoing.data() + (k * m + j) * count * w;
+  };
+  std::vector<uint64_t> acc(w);
   for (size_t k = 0; k < m; ++k) {
     for (size_t c = 0; c < count; ++c) {
-      BigUInt acc;
+      std::fill(acc.begin(), acc.end(), 0);
       for (size_t j = 1; j < m; ++j) {
-        BigUInt share = BigUInt::RandomBelow(player_rngs[k], S);
-        acc = ModAdd(acc, share, S);
-        outgoing[k][j][c] = std::move(share);
+        uint64_t* share = block(k, j) + c * w;
+        DrawBelow(player_rngs[k], s_row.data(), w, share);
+        limb_kernel::CondSubMod(
+            acc.data(), limb_kernel::Add(acc.data(), share, acc.data(), w),
+            s_row.data(), w);
       }
-      // First share absorbs the difference so the m shares sum to x_k mod S.
-      outgoing[k][0][c] = ModSub(BigUInt(inputs[k][c]) % S, acc, S);
+      // First share absorbs the difference so the m shares sum to x_k mod S
+      // (x_k <= A < S, so x_k is already reduced).
+      uint64_t* first = block(k, 0) + c * w;
+      first[0] = inputs[k][c];
+      if (limb_kernel::Sub(first, acc.data(), first, w) != 0) {
+        limb_kernel::Add(first, s_row.data(), first, w);
+      }
     }
   }
 
@@ -170,32 +266,30 @@ Result<BatchedModularShares> SecureSumProtocol::RunProtocol1Impl(
       PSI_RETURN_NOT_OK(network_->SendFramed(players_[k], players_[j],
                                              ProtocolId::kSecureSum,
                                              kStepPairwiseShares,
-                                             PackShareVector(outgoing[k][j])));
+                                             PackRows(block(k, j), count, w)));
     }
   }
 
   // Step 3 (local): player j sums what it kept and what it received.
-  std::vector<std::vector<BigUInt>> sums(m,
-                                         std::vector<BigUInt>(count));
+  std::vector<std::vector<uint64_t>> sums(m);
+  std::vector<uint64_t> received;
   for (size_t j = 0; j < m; ++j) {
-    sums[j] = outgoing[j][j];
+    sums[j].assign(block(j, j), block(j, j) + count * w);
     for (size_t k = 0; k < m; ++k) {
       if (k == j) continue;
       PSI_ASSIGN_OR_RETURN(
           auto buf, network_->RecvValidated(players_[j], players_[k],
                                             ProtocolId::kSecureSum,
                                             kStepPairwiseShares));
-      std::vector<BigUInt> received;
-      PSI_RETURN_NOT_OK(UnpackShareVector(buf, &received));
-      if (received.size() != count) {
-        return Status::ProtocolError("share vector length mismatch");
-      }
-      for (size_t c = 0; c < count; ++c) {
-        sums[j][c] = ModAdd(sums[j][c], received[c], S);
-      }
+      PSI_RETURN_NOT_OK(
+          UnpackRows(buf, count, s_row, "pairwise share vector", &received));
+      AddRowsModS(&sums[j], received, s_row);
     }
   }
-  views_.player_share_vectors = sums;
+  views_.player_share_vectors.resize(m);
+  for (size_t j = 0; j < m; ++j) {
+    views_.player_share_vectors[j] = ToBigUInts(sums[j], w);
+  }
 
   // Steps 4-5 (one round): players P3..Pm fold their sums into P2's.
   network_->BeginRound(label_prefix + "Prot1.Step4 (fold into P2)");
@@ -203,43 +297,43 @@ Result<BatchedModularShares> SecureSumProtocol::RunProtocol1Impl(
     PSI_RETURN_NOT_OK(network_->SendFramed(players_[j], players_[1],
                                            ProtocolId::kSecureSum,
                                            kStepFoldIntoP2,
-                                           PackShareVector(sums[j])));
+                                           PackRows(sums[j].data(), count, w)));
   }
   for (size_t j = 2; j < m; ++j) {
     PSI_ASSIGN_OR_RETURN(
         auto buf, network_->RecvValidated(players_[1], players_[j],
                                           ProtocolId::kSecureSum,
                                           kStepFoldIntoP2));
-    std::vector<BigUInt> received;
-    PSI_RETURN_NOT_OK(UnpackShareVector(buf, &received));
-    if (received.size() != count) {
-      return Status::ProtocolError("folded share vector length mismatch");
-    }
-    for (size_t c = 0; c < count; ++c) {
-      sums[1][c] = ModAdd(sums[1][c], received[c], S);
-    }
+    PSI_RETURN_NOT_OK(
+        UnpackRows(buf, count, s_row, "folded share vector", &received));
+    AddRowsModS(&sums[1], received, s_row);
   }
 
-  BatchedModularShares out;
-  out.s1 = std::move(sums[0]);
-  out.s2 = std::move(sums[1]);
-  return out;
+  return ShareRows{std::move(sums[0]), std::move(sums[1])};
 }
 
 Result<BatchedIntegerShares> SecureSumProtocol::RunProtocol2Impl(
     const std::vector<std::vector<uint64_t>>& inputs,
     const std::vector<Rng*>& player_rngs, Rng* pair_secret_rng,
     const std::string& label_prefix) {
-  PSI_ASSIGN_OR_RETURN(BatchedModularShares mod_shares,
+  PSI_ASSIGN_OR_RETURN(ShareRows mod_shares,
                        RunProtocol1Impl(inputs, player_rngs, label_prefix));
-  const size_t count = mod_shares.s1.size();
+  const size_t count = inputs[0].size();
   const BigUInt& S = config_.modulus_s;
+  const size_t w = S.num_limbs();
+  // s2 + r and the third party's sum need one limb more than S.
+  const std::vector<uint64_t> s_row = ToRow(S, w);
+  const std::vector<uint64_t> s_wide = ToRow(S, w + 1);
+  const std::vector<uint64_t> two_s = ToRow(S << 1, w + 1);
   const BigUInt r_bound = S - config_.input_bound_a;  // r in [0, S-A-1].
+  const std::vector<uint64_t> r_row = ToRow(r_bound, r_bound.num_limbs());
 
   // Step 2 (local at P2): one masking value per counter.
-  PSI_SECRET std::vector<BigUInt> masks;
-  masks.resize(count);
-  for (auto& r : masks) r = BigUInt::RandomBelow(player_rngs[1], r_bound);
+  PSI_SECRET std::vector<uint64_t> masks;
+  masks.assign(count * w, 0);
+  for (size_t c = 0; c < count; ++c) {
+    DrawBelow(player_rngs[1], r_row.data(), r_row.size(), &masks[c * w]);
+  }
 
   // Batched refinement (Section 5.1): P1 and P2 permute the counter order
   // seen by the third party using their pre-shared pairwise secret.
@@ -252,10 +346,13 @@ Result<BatchedIntegerShares> SecureSumProtocol::RunProtocol2Impl(
               return id;
             }()).ValueOrDie();
 
-  std::vector<BigUInt> sent_s1(count), sent_masked_s2(count);
+  std::vector<uint64_t> sent_s1(count * w), sent_masked_s2(count * (w + 1));
   for (size_t c = 0; c < count; ++c) {
-    sent_s1[perm.Apply(c)] = mod_shares.s1[c];
-    sent_masked_s2[perm.Apply(c)] = mod_shares.s2[c] + masks[c];
+    const size_t slot = perm.Apply(c);
+    std::copy_n(&mod_shares.s1[c * w], w, &sent_s1[slot * w]);
+    uint64_t* masked = &sent_masked_s2[slot * (w + 1)];
+    masked[w] = limb_kernel::Add(&mod_shares.s2[c * w], &masks[c * w], masked,
+                                 w);
   }
 
   // Steps 3-4 (one round): both vectors travel to the third party.
@@ -263,13 +360,13 @@ Result<BatchedIntegerShares> SecureSumProtocol::RunProtocol2Impl(
   PSI_RETURN_NOT_OK(network_->SendFramed(players_[0], third_party_,
                                          ProtocolId::kSecureSum,
                                          kStepToThirdParty,
-                                         PackShareVector(sent_s1)));
-  PSI_RETURN_NOT_OK(network_->SendFramed(players_[1], third_party_,
-                                         ProtocolId::kSecureSum,
-                                         kStepToThirdParty,
-                                         PackShareVector(sent_masked_s2)));
+                                         PackRows(sent_s1.data(), count, w)));
+  PSI_RETURN_NOT_OK(network_->SendFramed(
+      players_[1], third_party_, ProtocolId::kSecureSum, kStepToThirdParty,
+      PackRows(sent_masked_s2.data(), count, w + 1)));
 
   // Step 5 (local at the third party): y = s1 + s2 + r, compare with S.
+  // An honest s1 is below S and an honest s2 + r below 2S - A.
   PSI_ASSIGN_OR_RETURN(
       auto buf1, network_->RecvValidated(third_party_, players_[0],
                                          ProtocolId::kSecureSum,
@@ -278,17 +375,20 @@ Result<BatchedIntegerShares> SecureSumProtocol::RunProtocol2Impl(
       auto buf2, network_->RecvValidated(third_party_, players_[1],
                                          ProtocolId::kSecureSum,
                                          kStepToThirdParty));
-  std::vector<BigUInt> tp_s1, tp_masked;
-  PSI_RETURN_NOT_OK(UnpackShareVector(buf1, &tp_s1));
-  PSI_RETURN_NOT_OK(UnpackShareVector(buf2, &tp_masked));
-  if (tp_s1.size() != count || tp_masked.size() != count) {
-    return Status::ProtocolError("third party received mismatched batches");
-  }
-  views_.third_party_s1 = tp_s1;
-  views_.third_party_masked_s2 = tp_masked;
+  std::vector<uint64_t> tp_s1, tp_masked;
+  PSI_RETURN_NOT_OK(UnpackRows(buf1, count, s_row, "third party s1", &tp_s1));
+  PSI_RETURN_NOT_OK(
+      UnpackRows(buf2, count, two_s, "third party s2 + r", &tp_masked));
+  views_.third_party_s1 = ToBigUInts(tp_s1, w);
+  views_.third_party_masked_s2 = ToBigUInts(tp_masked, w + 1);
   std::vector<bool> bits(count);
+  std::vector<uint64_t> y(w + 1);
   for (size_t c = 0; c < count; ++c) {
-    bits[c] = (tp_s1[c] + tp_masked[c]) >= S;
+    // s1 < S and s2 + r < 2S, so y < 3S fits in w + 1 limbs.
+    std::copy_n(&tp_s1[c * w], w, y.data());
+    y[w] = 0;
+    limb_kernel::Add(y.data(), &tp_masked[c * (w + 1)], y.data(), w + 1);
+    bits[c] = limb_kernel::Compare(y.data(), s_wide.data(), w + 1) >= 0;
   }
   views_.comparison_bits = bits;
 
@@ -307,17 +407,24 @@ Result<BatchedIntegerShares> SecureSumProtocol::RunProtocol2Impl(
     return Status::ProtocolError("comparison bit vector length mismatch");
   }
 
-  // Steps 7-8 (local at P2): undo the permutation, apply the correction.
+  // Steps 7-8 (local at P2): undo the permutation, apply the correction:
+  // s2 - S = -(S - s2), and s2 < S keeps the magnitude positive.
   BatchedIntegerShares out;
-  out.s1 = std::move(mod_shares.s1);
+  out.s1 = ToBigUInts(mod_shares.s1, w);
   out.s2.resize(count);
   views_.p2_correction.assign(count, false);
+  std::vector<uint64_t> magnitude(w);
   for (size_t c = 0; c < count; ++c) {
-    bool correct = received_bits[perm.Apply(c)];
+    const bool correct = received_bits[perm.Apply(c)];
     views_.p2_correction[c] = correct;
-    BigInt s2(mod_shares.s2[c]);
-    if (correct) s2 -= BigInt(S);
-    out.s2[c] = std::move(s2);
+    const uint64_t* s2 = &mod_shares.s2[c * w];
+    if (correct) {
+      limb_kernel::Sub(s_row.data(), s2, magnitude.data(), w);
+      out.s2[c] = BigInt(BigUInt::FromLimbs(magnitude.data(), w),
+                         /*negative=*/true);
+    } else {
+      out.s2[c] = BigInt(BigUInt::FromLimbs(s2, w));
+    }
   }
   return out;
 }

@@ -20,6 +20,7 @@
 #define PSI_MPC_SECURE_SUM_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bigint/biguint.h"
@@ -37,9 +38,9 @@ struct SecureSumConfig {
   bool use_secret_permutation = true;  ///< Batched-mode P3 blinding.
 };
 
-/// \brief Smallest power-of-two modulus satisfying the Theorem 4.1 guidance
-/// S >= A * (1 + 2 * num_counters / epsilon) for epsilon = 2^-epsilon_log2:
-/// the probability that P2 or P3 learns any bound on any of the
+/// \brief The power of two 2^BitLength(T) for the Theorem 4.1 guidance
+/// T = A * (1 + 2 * num_counters / epsilon), epsilon = 2^-epsilon_log2, so
+/// S > T: the probability that P2 or P3 learns any bound on any of the
 /// `num_counters` batched sums is then at most epsilon.
 BigUInt RecommendedModulus(const BigUInt& bound_a, uint64_t num_counters,
                            uint64_t epsilon_log2);
@@ -84,9 +85,19 @@ class SecureSumProtocol {
 
   const SecureSumViews& views() const { return views_; }
 
+  /// \brief Hands the recorded views to the caller without copying them.
+  SecureSumViews TakeViews() && { return std::move(views_); }
+
  private:
+  /// P1's and P2's Protocol 1 outputs as flat rows: value c of each vector
+  /// is limbs [c*w, (c+1)*w), w = S.num_limbs(), little-endian.
+  struct ShareRows {
+    std::vector<uint64_t> s1;
+    std::vector<uint64_t> s2;
+  };
+
   // The protocol bodies; the public entries drain mailboxes on error.
-  [[nodiscard]] Result<BatchedModularShares> RunProtocol1Impl(
+  [[nodiscard]] Result<ShareRows> RunProtocol1Impl(
       const std::vector<std::vector<uint64_t>>& inputs,
       const std::vector<Rng*>& player_rngs, const std::string& label_prefix);
   [[nodiscard]] Result<BatchedIntegerShares> RunProtocol2Impl(

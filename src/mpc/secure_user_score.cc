@@ -1,6 +1,7 @@
 #include "mpc/secure_user_score.h"
 
 #include <cmath>
+#include <utility>
 
 #include "actionlog/counters.h"
 #include "common/serialize.h"
@@ -48,7 +49,7 @@ Result<std::vector<double>> SecureUserScoreProtocol::RunImpl(
   PSI_ASSIGN_OR_RETURN(Protocol6Output pgs,
                        p6.Run(host_graph, num_actions, provider_logs, host_rng,
                               provider_rngs));
-  p6_views_ = p6.views();
+  p6_views_ = std::move(p6).TakeViews();
 
   // ---- Phase 2: secure a_i shares (batched Protocol 2 over n counters). --
   std::vector<std::vector<uint64_t>> inputs(m);

@@ -2,17 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 
 #include "actionlog/generator.h"
 #include "actionlog/partition.h"
 #include "graph/generators.h"
+#include "transcript_digest.h"
 
 namespace psi {
 namespace {
 
-struct P4Fixture {
-  P4Fixture(size_t num_providers, size_t num_users, size_t num_arcs,
+template <typename Net = Network>
+struct BasicP4Fixture {
+  BasicP4Fixture(size_t num_providers, size_t num_users, size_t num_arcs,
             size_t num_actions, uint64_t seed = 7)
       : rng(seed) {
     graph = std::make_unique<SocialGraph>(
@@ -43,13 +46,15 @@ struct P4Fixture {
   std::unique_ptr<SocialGraph> graph;
   ActionLog log;
   std::vector<ActionLog> provider_logs;
-  Network net;
+  Net net;
   PartyId host;
   std::vector<PartyId> providers;
   std::vector<std::unique_ptr<Rng>> rngs;
   std::unique_ptr<Rng> host_rng;
   std::unique_ptr<Rng> pair_secret;
 };
+
+using P4Fixture = BasicP4Fixture<>;
 
 TEST(Protocol4Test, SecureOutputEqualsPlaintextEq1) {
   P4Fixture f(3, 40, 200, 60);
@@ -65,6 +70,23 @@ TEST(Protocol4Test, SecureOutputEqualsPlaintextEq1) {
   for (size_t e = 0; e < plain.p.size(); ++e) {
     EXPECT_NEAR(secure.p[e], plain.p[e], 1e-9) << "arc " << e;
   }
+}
+
+TEST(Protocol4Test, SessionTranscriptMatchesPinnedDigest) {
+  // One whole simulator session (batched Protocol 2 aggregation): every
+  // transmitted frame plus the estimates, against a digest recorded from an
+  // earlier build. Run-against-run determinism checks miss a consistent
+  // byte change; this does not.
+  BasicP4Fixture<DigestNetwork> f(3, 40, 200, 60);
+  Protocol4Config cfg;
+  LinkInfluenceProtocol proto(&f.net, f.host, f.providers, cfg);
+  auto secure = proto.Run(*f.graph, 60, f.provider_logs, f.host_rng.get(),
+                          f.RngPtrs(), f.pair_secret.get())
+                    .ValueOrDie();
+  Fnv1a fnv;
+  fnv.AddU64(f.net.digest());
+  for (double p : secure.p) fnv.AddU64(std::bit_cast<uint64_t>(p));
+  EXPECT_EQ(fnv.value(), 0x40acd8fdfb49d1f3ull) << std::hex << fnv.value();
 }
 
 TEST(Protocol4Test, CommunicationMatchesTable1Totals) {

@@ -7,14 +7,17 @@
 
 #include "bigint/modular.h"
 #include "common/stats.h"
+#include "net/envelope.h"
 #include "privacy/leakage.h"
+#include "transcript_digest.h"
 
 namespace psi {
 namespace {
 
 // Test harness: m providers + a host acting as third party for m == 2.
-struct SumFixture {
-  explicit SumFixture(size_t m) {
+template <typename Net = Network>
+struct BasicSumFixture {
+  explicit BasicSumFixture(size_t m) {
     host = net.RegisterParty("H");
     for (size_t k = 0; k < m; ++k) {
       providers.push_back(net.RegisterParty("P" + std::to_string(k + 1)));
@@ -33,12 +36,14 @@ struct SumFixture {
     return providers.size() > 2 ? providers[2] : host;
   }
 
-  Network net;
+  Net net;
   PartyId host;
   std::vector<PartyId> providers;
   std::vector<std::unique_ptr<Rng>> rngs;
   std::unique_ptr<Rng> pair_secret;
 };
+
+using SumFixture = BasicSumFixture<>;
 
 SecureSumConfig MakeConfig(uint64_t bound, size_t s_bits) {
   SecureSumConfig cfg;
@@ -296,6 +301,175 @@ TEST(SecureSumTest, LargeModulusMultiLimbShares) {
                     .ValueOrDie();
   EXPECT_EQ(shares.At(0).Reconstruct(), BigInt(BigUInt(888888)));
   EXPECT_GT(shares.s1[0].BitLength(), 200u);  // Shares really are huge.
+}
+
+// Runs Protocol 2 over a fixed 37-counter input grid (an all-zero counter,
+// a counter at the bound A, the rest random) and hashes every transmitted
+// frame, the packed s1/s2 outputs and every recorded view.
+uint64_t Protocol2Digest(size_t m, const BigUInt& s, bool permute) {
+  BasicSumFixture<DigestNetwork> f(m);
+  SecureSumConfig cfg;
+  cfg.input_bound_a = BigUInt(1000);
+  cfg.modulus_s = s;
+  cfg.use_secret_permutation = permute;
+  constexpr size_t kCount = 37;
+  Rng input_rng(90 + m);
+  std::vector<std::vector<uint64_t>> inputs(m,
+                                            std::vector<uint64_t>(kCount, 0));
+  inputs[0][1] = 1000;
+  for (size_t c = 2; c < kCount; ++c) {
+    for (size_t k = 0; k < m; ++k) inputs[k][c] = input_rng.UniformU64(1000 / m);
+  }
+  SecureSumProtocol proto(&f.net, f.providers, f.ThirdParty(), cfg);
+  auto shares = proto.RunProtocol2(inputs, f.RngPtrs(), f.pair_secret.get(),
+                                   "t.")
+                    .ValueOrDie();
+  BinaryWriter w;
+  for (const auto& v : shares.s1) WriteBigUInt(&w, v);
+  for (const auto& v : shares.s2) WriteBigInt(&w, v);
+  const auto& views = proto.views();
+  for (const auto& v : views.third_party_s1) WriteBigUInt(&w, v);
+  for (const auto& v : views.third_party_masked_s2) WriteBigUInt(&w, v);
+  for (bool b : views.comparison_bits) w.WriteU8(b ? 1 : 0);
+  for (bool b : views.p2_correction) w.WriteU8(b ? 1 : 0);
+  for (const auto& row : views.player_share_vectors) {
+    for (const auto& v : row) WriteBigUInt(&w, v);
+  }
+  Fnv1a fnv;
+  fnv.AddU64(f.net.digest());
+  fnv.Add(w.TakeBuffer());
+  return fnv.value();
+}
+
+TEST(SecureSumTest, Protocol2TranscriptMatchesPinnedDigest) {
+  struct Case {
+    size_t m;
+    const char* s_hex;
+    bool permute;
+    uint64_t digest;
+  };
+  // Recorded from the BigUInt-per-share implementation; any change to an
+  // RNG draw, a wire byte, an output or a view moves the digest.
+  const Case kCases[] = {
+      {2, "10000000000", true, 0xb2003d7fba317bafull},
+      {2, "10000000000", false, 0xd0290bc574911770ull},
+      {2, "8000000000000000", true, 0x8e31811a4de9b114ull},
+      {2, "8000000000000000", false, 0x33c3fdf3de73c9beull},
+      {2, "10000000000000000", true, 0xeb9a1ebd99d22e5bull},
+      {2, "10000000000000000", false, 0x223aef6bfea13b31ull},
+      {2, "400000000000000000000000000000000", true, 0x8252e8c04ff50fe7ull},
+      {2, "400000000000000000000000000000000", false, 0x7b1f0139f24bc391ull},
+      {3, "10000000000", true, 0x81cff4f3153ca463ull},
+      {3, "10000000000", false, 0xa49231b3a5b8e439ull},
+      {3, "8000000000000000", true, 0x4049a7140b6718f7ull},
+      {3, "8000000000000000", false, 0xd0ea395b798fe761ull},
+      {3, "10000000000000000", true, 0xb50bb474fc59abeaull},
+      {3, "10000000000000000", false, 0x8329bb2f78af1cf0ull},
+      {3, "400000000000000000000000000000000", true, 0x645fdc6229d6d148ull},
+      {3, "400000000000000000000000000000000", false, 0x73fc66d6eda66a4cull},
+      {4, "10000000000", true, 0x76f72672ee68d9f0ull},
+      {4, "10000000000", false, 0x4d8272ca6cd088a6ull},
+      {4, "8000000000000000", true, 0xf643026fe0bd2ed5ull},
+      {4, "8000000000000000", false, 0xe54a741bcfa52268ull},
+      {4, "10000000000000000", true, 0xbb28a45ef7cd3f7aull},
+      {4, "10000000000000000", false, 0x7d7abcd17edd5daull},
+      {4, "400000000000000000000000000000000", true, 0x3318844628679c55ull},
+      {4, "400000000000000000000000000000000", false, 0xdd399c613ace2815ull},
+      // A modulus that is not a power of two exercises the mod-S reduction.
+      {3, "fffffffffffffffffffffffd", true, 0xbaf3113773b07493ull},
+  };
+  for (const Case& c : kCases) {
+    const BigUInt s = BigUInt::FromHexString(c.s_hex).ValueOrDie();
+    const uint64_t got = Protocol2Digest(c.m, s, c.permute);
+    EXPECT_EQ(got, c.digest) << "m=" << c.m << " S=0x" << c.s_hex
+                             << " permute=" << c.permute << " got 0x"
+                             << std::hex << got;
+  }
+}
+
+// A peer that speaks the wire format but lies: replaces value 0 of the first
+// share vector `from` sends under secure-sum step `step` with `value`, then
+// re-seals the envelope so the frame still validates.
+class ShareTamperNetwork : public Network {
+ public:
+  void Arm(PartyId from, uint16_t step, BigUInt value) {
+    from_ = from;
+    step_ = step;
+    value_ = std::move(value);
+    armed_ = true;
+  }
+
+ protected:
+  Status Transmit(PartyId from, PartyId to, std::vector<uint8_t> frame,
+                  bool front) override {
+    if (armed_ && from == from_) {
+      Envelope env = OpenEnvelope(frame).ValueOrDie();
+      if (env.protocol_id == ProtocolId::kSecureSum && env.step == step_) {
+        armed_ = false;
+        BinaryReader r(env.payload);
+        uint64_t count = 0;
+        EXPECT_TRUE(r.ReadCount(&count).ok());
+        std::vector<BigUInt> values(count);
+        for (auto& v : values) EXPECT_TRUE(ReadBigUInt(&r, &v).ok());
+        values[0] = value_;
+        BinaryWriter w;
+        w.WriteVarU64(count);
+        for (const auto& v : values) WriteBigUInt(&w, v);
+        frame = SealEnvelope(env.protocol_id, env.step, env.sender, env.seq,
+                             w.TakeBuffer());
+      }
+    }
+    return Network::Transmit(from, to, std::move(frame), front);
+  }
+
+ private:
+  bool armed_ = false;
+  PartyId from_ = 0;
+  uint16_t step_ = 0;
+  BigUInt value_;
+};
+
+TEST(SecureSumTest, RejectsOutOfRangeShares) {
+  // Step tags: 2 = Prot1 pairwise shares, 4 = Prot1 fold into P2,
+  // 3 = Prot2 vectors to the third party. Sender index: 0 = P1, 1 = P2,
+  // 2 = P3. Each smallest out-of-range value must fail the run with a
+  // ProtocolError; the largest in-range one must still be accepted.
+  struct Case {
+    size_t sender;
+    uint16_t step;
+    int s_multiple;  // The substituted value is s_multiple * S + offset.
+    int offset;
+    bool rejected;
+  };
+  const Case kCases[] = {
+      {0, 2, 1, 0, true},  {0, 2, 1, -1, false}, {2, 4, 1, 0, true},
+      {2, 4, 1, -1, false}, {0, 3, 1, 0, true},  {0, 3, 1, -1, false},
+      {1, 3, 2, 0, true},  {1, 3, 2, -1, false},
+  };
+  for (size_t s_bits : {63u, 64u, 130u}) {
+    for (const Case& c : kCases) {
+      BasicSumFixture<ShareTamperNetwork> f(3);
+      const SecureSumConfig cfg = MakeConfig(1000, s_bits);
+      BigUInt value = cfg.modulus_s * BigUInt(static_cast<uint64_t>(c.s_multiple));
+      if (c.offset < 0) value -= BigUInt(1);
+      f.net.Arm(f.providers[c.sender], c.step, value);
+      SecureSumProtocol proto(&f.net, f.providers, f.ThirdParty(), cfg);
+      std::vector<std::vector<uint64_t>> inputs(3, {5, 7, 11});
+      auto result = proto.RunProtocol2(inputs, f.RngPtrs(),
+                                       f.pair_secret.get(), "t.");
+      const std::string where = "S=2^" + std::to_string(s_bits) +
+                                " sender=P" + std::to_string(c.sender + 1) +
+                                " step=" + std::to_string(c.step) +
+                                " value=" + value.ToHexString();
+      if (c.rejected) {
+        ASSERT_FALSE(result.ok()) << where;
+        EXPECT_EQ(result.status().code(), StatusCode::kProtocolError) << where;
+      } else {
+        EXPECT_TRUE(result.ok()) << where << ": " << result.status().ToString();
+      }
+      EXPECT_EQ(f.net.PendingCount(), 0u) << where;
+    }
+  }
 }
 
 }  // namespace
