@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/serialize.h"
+
 namespace psi {
 
 void ActionLog::Add(const ActionRecord& record) {
@@ -53,6 +55,36 @@ std::vector<ActionRecord> ActionLog::RecordsOfAction(ActionId action) const {
     if (r.action == action) out.push_back(r);
   }
   return out;
+}
+
+std::vector<uint8_t> PackRecords(const std::vector<ActionRecord>& records) {
+  BinaryWriter w;
+  w.WriteVarU64(records.size());
+  for (const auto& r : records) {
+    w.WriteU32(r.user);
+    w.WriteU32(r.action);
+    w.WriteU64(r.time);
+  }
+  return w.TakeBuffer();
+}
+
+Result<PackedRecords> PackedRecords::Open(const std::vector<uint8_t>& buf) {
+  BinaryReader r(buf);
+  uint64_t count = 0;
+  PSI_RETURN_NOT_OK(r.ReadCount(&count, kRecordBytes));
+  if (r.remaining() != count * kRecordBytes) {
+    return Status::SerializationError(
+        "packed records: byte length does not match the record count");
+  }
+  return PackedRecords(buf.data() + (buf.size() - r.remaining()), count);
+}
+
+Status UnpackRecords(const std::vector<uint8_t>& buf,
+                     std::vector<ActionRecord>* out) {
+  PSI_ASSIGN_OR_RETURN(const PackedRecords records, PackedRecords::Open(buf));
+  out->resize(records.size());
+  for (size_t k = 0; k < records.size(); ++k) (*out)[k] = records[k];
+  return Status::OK();
 }
 
 }  // namespace psi

@@ -7,6 +7,7 @@
 #define PSI_ACTIONLOG_ACTION_LOG_H_
 
 #include <cstdint>
+#include <cstring>
 #include <unordered_map>
 #include <vector>
 
@@ -66,6 +67,46 @@ class ActionLog {
   std::vector<ActionRecord> records_;
   std::unordered_map<uint64_t, size_t> seen_;  // (user, action) -> record idx
 };
+
+/// \brief Encodes records as a varint count, then one (u32 user, u32 action,
+/// u64 time) little-endian triple per record: the form a provider's log
+/// takes in session state and on the wire.
+std::vector<uint8_t> PackRecords(const std::vector<ActionRecord>& records);
+
+/// \brief A PackRecords buffer, validated once and then read in place, so a
+/// consumer can build its own layout without an intermediate record vector.
+/// The buffer must outlive the view.
+class PackedRecords {
+ public:
+  /// \brief Checks the buffer's count against its length. SerializationError
+  /// on an oversized count or trailing bytes.
+  [[nodiscard]] static Result<PackedRecords> Open(const std::vector<uint8_t>& buf);
+
+  size_t size() const { return count_; }
+
+  ActionRecord operator[](size_t k) const {
+    const uint8_t* p = records_ + k * kRecordBytes;
+    ActionRecord r;  // Little-endian host assumed, as in BinaryWriter.
+    std::memcpy(&r.user, p, 4);
+    std::memcpy(&r.action, p + 4, 4);
+    std::memcpy(&r.time, p + 8, 8);
+    return r;
+  }
+
+ private:
+  static constexpr size_t kRecordBytes = 16;
+
+  PackedRecords(const uint8_t* records, size_t count)
+      : records_(records), count_(count) {}
+
+  const uint8_t* records_;
+  size_t count_;
+};
+
+/// \brief Decodes PackRecords output; rejects what PackedRecords::Open
+/// rejects.
+[[nodiscard]] Status UnpackRecords(const std::vector<uint8_t>& buf,
+                                   std::vector<ActionRecord>* out);
 
 }  // namespace psi
 

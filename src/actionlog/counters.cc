@@ -8,6 +8,78 @@
 
 namespace psi {
 
+namespace {
+
+// The largest pair endpoint + 1.
+size_t PairRows(const std::vector<Arc>& pairs) {
+  size_t rows = 0;
+  for (const Arc& arc : pairs) {
+    rows = std::max(rows, size_t{std::max(arc.from, arc.to)} + 1);
+  }
+  return rows;
+}
+
+}  // namespace
+
+template <typename RecordAt>
+void UserRows::Build(size_t count, RecordAt record_at) {
+  size_t log_rows = 0;
+  for (size_t k = 0; k < count; ++k) {
+    log_rows = std::max(log_rows, size_t{record_at(k).user} + 1);
+  }
+  const size_t num_rows = std::min(max_rows_, log_rows);
+  // Counting sort by user: count, prefix-sum, scatter.
+  offsets_.assign(num_rows + 1, 0);
+  for (size_t k = 0; k < count; ++k) {
+    const NodeId user = record_at(k).user;
+    if (user < num_rows) ++offsets_[user + 1];
+  }
+  for (size_t u = 0; u < num_rows; ++u) offsets_[u + 1] += offsets_[u];
+  entries_.resize(offsets_[num_rows]);
+  std::vector<size_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (size_t k = 0; k < count; ++k) {
+    const ActionRecord r = record_at(k);
+    if (r.user < num_rows) entries_[next[r.user]++] = {r.action, r.time};
+  }
+  // Sort each row by (action, time) and keep each action's first entry, so
+  // rows are strictly increasing in action and a repeat keeps its earliest
+  // time. Rows only shrink, so compacting in place never overtakes a row
+  // not yet read.
+  const auto by_action_time = [](const Entry& x, const Entry& y) {
+    return x.action != y.action ? x.action < y.action : x.time < y.time;
+  };
+  size_t kept = 0;
+  for (size_t u = 0; u < num_rows; ++u) {
+    const size_t begin = offsets_[u];
+    const size_t end = offsets_[u + 1];
+    std::sort(entries_.begin() + static_cast<ptrdiff_t>(begin),
+              entries_.begin() + static_cast<ptrdiff_t>(end), by_action_time);
+    offsets_[u] = kept;
+    for (size_t e = begin; e < end; ++e) {
+      if (kept > offsets_[u] && entries_[kept - 1].action == entries_[e].action) {
+        continue;
+      }
+      entries_[kept++] = entries_[e];
+    }
+  }
+  offsets_[num_rows] = kept;
+  entries_.resize(kept);
+}
+
+UserRows::UserRows(const std::vector<ActionRecord>& records, size_t max_rows)
+    : max_rows_(max_rows) {
+  Build(records.size(), [&records](size_t k) { return records[k]; });
+}
+
+UserRows::UserRows(const PackedRecords& records, size_t max_rows)
+    : max_rows_(max_rows) {
+  Build(records.size(), [&records](size_t k) { return records[k]; });
+}
+
+size_t CounterRows(size_t num_users, const std::vector<Arc>& pairs) {
+  return std::max(num_users, PairRows(pairs));
+}
+
 std::vector<uint64_t> ComputeActionCounts(const ActionLog& log,
                                           size_t num_users) {
   std::vector<uint64_t> a(num_users, 0);
@@ -17,85 +89,24 @@ std::vector<uint64_t> ComputeActionCounts(const ActionLog& log,
   return a;
 }
 
-namespace {
-
-// One (action, time) entry of a user's row.
-struct RowEntry {
-  ActionId action;
-  uint64_t time;
-};
-
-// A flat per-user view of a log in compressed sparse rows: user u's records
-// are entries_[offsets_[u] .. offsets_[u + 1]), sorted by action. Rows stop
-// at the smaller of the largest pair endpoint and the largest user in the
-// log (users past either bound can share no action with the other side), so
-// like the a_i vector the view grows with the graph's node ids.
-class UserRows {
- public:
-  UserRows(const ActionLog& log, const std::vector<Arc>& pairs) {
-    size_t pair_rows = 0, log_rows = 0;
-    for (const Arc& arc : pairs) {
-      pair_rows = std::max(pair_rows, size_t{std::max(arc.from, arc.to)} + 1);
-    }
-    for (const ActionRecord& r : log.records()) {
-      log_rows = std::max(log_rows, size_t{r.user} + 1);
-    }
-    const size_t num_rows = std::min(pair_rows, log_rows);
-    // Counting sort by user: count, prefix-sum, scatter.
-    offsets_.assign(num_rows + 1, 0);
-    for (const ActionRecord& r : log.records()) {
-      if (r.user < num_rows) ++offsets_[r.user + 1];
-    }
-    for (size_t u = 0; u < num_rows; ++u) offsets_[u + 1] += offsets_[u];
-    entries_.resize(offsets_[num_rows]);
-    std::vector<size_t> next(offsets_.begin(), offsets_.end() - 1);
-    for (const ActionRecord& r : log.records()) {
-      if (r.user < num_rows) entries_[next[r.user]++] = {r.action, r.time};
-    }
-    // ActionLog keeps (user, action) unique, so each row becomes strictly
-    // increasing in action.
-    const auto by_action = [](const RowEntry& x, const RowEntry& y) {
-      return x.action < y.action;
-    };
-    RowEntry* row = entries_.data();
-    for (size_t u = 0; u < num_rows; ++u) {
-      std::sort(row + offsets_[u], row + offsets_[u + 1], by_action);
-    }
-  }
-
-  // Calls on_common(t_i, t_j) for every action both users performed, in
-  // action order, by a two-pointer merge of their rows.
-  template <typename OnCommon>
-  void ForEachCommonAction(size_t i, size_t j, OnCommon on_common) const {
-    if (std::max(i, j) >= offsets_.size() - 1) return;
-    const RowEntry* x = entries_.data() + offsets_[i];
-    const RowEntry* x_end = entries_.data() + offsets_[i + 1];
-    const RowEntry* y = entries_.data() + offsets_[j];
-    const RowEntry* y_end = entries_.data() + offsets_[j + 1];
-    while (x != x_end && y != y_end) {
-      if (x->action < y->action) {
-        ++x;
-      } else if (y->action < x->action) {
-        ++y;
-      } else {
-        on_common(x->time, y->time);
-        ++x;
-        ++y;
-      }
-    }
-  }
-
- private:
-  std::vector<size_t> offsets_;
-  std::vector<RowEntry> entries_;
-};
-
-}  // namespace
+std::vector<uint64_t> ComputeActionCounts(const UserRows& rows,
+                                          size_t num_users) {
+  PSI_CHECK(rows.max_rows() >= num_users) << "rows do not span every user";
+  std::vector<uint64_t> a(num_users);
+  for (size_t i = 0; i < num_users; ++i) a[i] = rows.RowSize(i);
+  return a;
+}
 
 std::vector<uint64_t> ComputeFollowCounts(const ActionLog& log,
                                           const std::vector<Arc>& pairs,
                                           uint64_t h) {
-  const UserRows rows(log, pairs);
+  return ComputeFollowCounts(UserRows(log.records(), PairRows(pairs)), pairs, h);
+}
+
+std::vector<uint64_t> ComputeFollowCounts(const UserRows& rows,
+                                          const std::vector<Arc>& pairs,
+                                          uint64_t h) {
+  PSI_CHECK(rows.max_rows() >= PairRows(pairs)) << "rows do not span the pairs";
   std::vector<uint64_t> b(pairs.size(), 0);
   ParallelFor(pairs.size(), [&](size_t p) {
     uint64_t count = 0;
@@ -109,7 +120,13 @@ std::vector<uint64_t> ComputeFollowCounts(const ActionLog& log,
 
 std::vector<std::vector<uint64_t>> ComputeExactDelayCounts(
     const ActionLog& log, const std::vector<Arc>& pairs, uint64_t h) {
-  const UserRows rows(log, pairs);
+  return ComputeExactDelayCounts(UserRows(log.records(), PairRows(pairs)),
+                                 pairs, h);
+}
+
+std::vector<std::vector<uint64_t>> ComputeExactDelayCounts(
+    const UserRows& rows, const std::vector<Arc>& pairs, uint64_t h) {
+  PSI_CHECK(rows.max_rows() >= PairRows(pairs)) << "rows do not span the pairs";
   std::vector<std::vector<uint64_t>> c(pairs.size(),
                                        std::vector<uint64_t>(h, 0));
   ParallelFor(pairs.size(), [&](size_t p) {

@@ -1,5 +1,6 @@
-// SHA-256 (FIPS 180-4): used for hash commitments in the joint coin-flipping
-// subprotocol and as the KDF of the hybrid encryption mode.
+// SHA-256 (FIPS 180-4): the KDF of the hybrid encryption mode, the
+// oblivious-transfer key hash, the socket transport's token proofs, and the
+// hash of crypto/commitment.h.
 
 #ifndef PSI_CRYPTO_SHA256_H_
 #define PSI_CRYPTO_SHA256_H_

@@ -189,7 +189,7 @@ Result<AggregatedClassCounters> ClassAggregationProtocol::RunImpl(
     // Shuffle so record order reveals nothing about real-vs-fake.
     Rng shuffle_rng = group_secret_rng->Fork("shuffle-" + std::to_string(k));
     shuffle_rng.Shuffle(&obf);
-    PSI_RETURN_NOT_OK(network_->Send(group_[k], aggregator_, wire::PackRecords(obf)));
+    PSI_RETURN_NOT_OK(network_->Send(group_[k], aggregator_, PackRecords(obf)));
   }
 
   // ---- Steps 3-4: the aggregator merges and counts. ----
@@ -198,7 +198,7 @@ Result<AggregatedClassCounters> ClassAggregationProtocol::RunImpl(
   for (size_t k = 0; k < d; ++k) {
     PSI_ASSIGN_OR_RETURN(auto buf, network_->Recv(aggregator_, group_[k]));
     std::vector<ActionRecord> records;
-    PSI_RETURN_NOT_OK(wire::UnpackRecords(buf, &records));
+    PSI_RETURN_NOT_OK(UnpackRecords(buf, &records));
     views_.aggregator_logs.push_back(records);
     merged.insert(merged.end(), records.begin(), records.end());
   }

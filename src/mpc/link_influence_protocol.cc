@@ -59,8 +59,8 @@ constexpr char kProgramCounters[] = "p4/counters";
   }
   SessionState& st = *ctx->state;
 
-  PSI_ASSIGN_OR_RETURN(const std::vector<uint8_t> cfg_buf, st.Get(kKeyExecCfg));
-  BinaryReader cr(cfg_buf);
+  PSI_ASSIGN_OR_RETURN(const SessionBlob cfg_buf, st.Get(kKeyExecCfg));
+  BinaryReader cr(*cfg_buf);
   uint64_t num_users = 0;
   Protocol4Config cfg;
   uint8_t has_weights = 0;
@@ -85,19 +85,17 @@ constexpr char kProgramCounters[] = "p4/counters";
 
   std::vector<Arc> provider_omega;
   {
-    PSI_ASSIGN_OR_RETURN(const auto buf, st.Get(kKeyOmega));
-    PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &provider_omega));
+    PSI_ASSIGN_OR_RETURN(const SessionBlob buf, st.Get(kKeyOmega));
+    PSI_RETURN_NOT_OK(wire::UnpackArcs(*buf, &provider_omega));
   }
-  ActionLog log;
-  {
-    PSI_ASSIGN_OR_RETURN(const auto buf, st.Get(kKeyExecLog));
-    std::vector<ActionRecord> records;
-    PSI_RETURN_NOT_OK(wire::UnpackRecords(buf, &records));
-    for (const ActionRecord& rec : records) log.Add(rec);
-  }
+  // The packed log decodes straight into the kernel's per-user rows.
+  PSI_ASSIGN_OR_RETURN(const SessionBlob packed_log, st.Get(kKeyExecLog));
+  PSI_ASSIGN_OR_RETURN(const PackedRecords records,
+                       PackedRecords::Open(*packed_log));
+  const UserRows rows(records, CounterRows(num_users, provider_omega));
 
   PSI_ASSIGN_OR_RETURN(std::vector<uint64_t> counters,
-                       ComputeProviderCounterVector(log, num_users,
+                       ComputeProviderCounterVector(rows, num_users,
                                                     provider_omega, cfg,
                                                     /*extra=*/nullptr));
   st.Put(kKeyCounters, wire::PackU64s(counters));
@@ -128,11 +126,22 @@ uint64_t AggregatedClassCounters::FollowCount(NodeId i, NodeId j,
 Result<std::vector<uint64_t>> ComputeProviderCounterVector(
     const ActionLog& log, size_t num_users, const std::vector<Arc>& pairs,
     const Protocol4Config& config, const AggregatedClassCounters* extra) {
+  return ComputeProviderCounterVector(
+      UserRows(log.records(), CounterRows(num_users, pairs)), num_users, pairs,
+      config, extra);
+}
+
+Result<std::vector<uint64_t>> ComputeProviderCounterVector(
+    const UserRows& rows, size_t num_users, const std::vector<Arc>& pairs,
+    const Protocol4Config& config, const AggregatedClassCounters* extra) {
+  if (rows.max_rows() < CounterRows(num_users, pairs)) {
+    return Status::InvalidArgument("counter rows do not span every user and pair");
+  }
   std::vector<uint64_t> counters;
   counters.reserve(num_users + pairs.size());
 
   // Denominator block: a_i.
-  auto a = ComputeActionCounts(log, num_users);
+  auto a = ComputeActionCounts(rows, num_users);
   if (extra != nullptr) {
     if (extra->a.size() != num_users) {
       return Status::InvalidArgument("extra counters sized for wrong n");
@@ -143,7 +152,7 @@ Result<std::vector<uint64_t>> ComputeProviderCounterVector(
 
   // Numerator block: b^h_ij (Eq. 1) or scaled sum_l W_l c^l_ij (Eq. 2).
   if (!config.weights.has_value()) {
-    auto b = ComputeFollowCounts(log, pairs, config.h);
+    auto b = ComputeFollowCounts(rows, pairs, config.h);
     if (extra != nullptr) {
       for (size_t p = 0; p < pairs.size(); ++p) {
         b[p] += extra->FollowCount(pairs[p].from, pairs[p].to, config.h);
@@ -156,7 +165,7 @@ Result<std::vector<uint64_t>> ComputeProviderCounterVector(
       return Status::InvalidArgument("weights length must equal h");
     }
     auto scaled = weights.Scaled(config.weight_scale);
-    auto c = ComputeExactDelayCounts(log, pairs, config.h);
+    auto c = ComputeExactDelayCounts(rows, pairs, config.h);
     for (size_t p = 0; p < pairs.size(); ++p) {
       uint64_t sum = 0;
       for (uint64_t l = 0; l < config.h; ++l) {
@@ -243,7 +252,7 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
   for (size_t k = 0; k < m; ++k) {
     SessionState& st = session.PartyState(providers_[k]);
     st.Put(kKeyExecCfg, cfg_buf);
-    st.Put(kKeyExecLog, wire::PackRecords(provider_logs[k].records()));
+    st.Put(kKeyExecLog, PackRecords(provider_logs[k].records()));
   }
 
   // Stage bodies are replayable: inputs come from the parties' SessionStates
@@ -302,10 +311,10 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
     } else {
       // psi-lint: allow(channel-schedule) the name is a pure function of the provider index k, so it is stable across runs and resumable
       session.AddStage(stage_name, [&, this, k]() -> Status {
-        PSI_ASSIGN_OR_RETURN(auto buf,
+        PSI_ASSIGN_OR_RETURN(const SessionBlob buf,
                              session.PartyState(providers_[k]).Get(kKeyOmega));
         std::vector<Arc> provider_omega;
-        PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &provider_omega));
+        PSI_RETURN_NOT_OK(wire::UnpackArcs(*buf, &provider_omega));
         PSI_ASSIGN_OR_RETURN(
             std::vector<uint64_t> counters,
             ComputeProviderCounterVector(provider_logs[k], n, provider_omega,
@@ -322,8 +331,9 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
     std::vector<std::vector<uint64_t>> inputs(m);
     for (size_t k = 0; k < m; ++k) {
       PSI_ASSIGN_OR_RETURN(
-          auto buf, session.PartyState(providers_[k]).Get(kKeyCounters));
-      PSI_RETURN_NOT_OK(wire::UnpackU64s(buf, &inputs[k]));
+          const SessionBlob buf,
+          session.PartyState(providers_[k]).Get(kKeyCounters));
+      PSI_RETURN_NOT_OK(wire::UnpackU64s(*buf, &inputs[k]));
     }
     const size_t q = inputs[0].size() - n;
 
@@ -431,29 +441,29 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
   session.AddStage("masked-shares", [&, this]() -> Status {
     std::vector<Arc> omega;
     {
-      PSI_ASSIGN_OR_RETURN(auto buf,
+      PSI_ASSIGN_OR_RETURN(const SessionBlob buf,
                            session.PartyState(providers_[0]).Get(kKeyOmega));
-      PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &omega));
+      PSI_RETURN_NOT_OK(wire::UnpackArcs(*buf, &omega));
     }
     const size_t q = omega.size();
     const size_t total = n + q;
     PSI_SECRET std::vector<BigUInt> masks;
     {
-      PSI_ASSIGN_OR_RETURN(auto buf,
+      PSI_ASSIGN_OR_RETURN(const SessionBlob buf,
                            session.PartyState(providers_[0]).Get(kKeyMasks));
-      PSI_RETURN_NOT_OK(wire::UnpackBigUInts(buf, &masks));
+      PSI_RETURN_NOT_OK(wire::UnpackBigUInts(*buf, &masks));
     }
     std::vector<BigUInt> s1;
     std::vector<BigInt> s2;
     {
-      PSI_ASSIGN_OR_RETURN(auto buf,
+      PSI_ASSIGN_OR_RETURN(const SessionBlob buf,
                            session.PartyState(providers_[0]).Get(kKeyShare1));
-      PSI_RETURN_NOT_OK(wire::UnpackBigUInts(buf, &s1));
+      PSI_RETURN_NOT_OK(wire::UnpackBigUInts(*buf, &s1));
     }
     {
-      PSI_ASSIGN_OR_RETURN(auto buf,
+      PSI_ASSIGN_OR_RETURN(const SessionBlob buf,
                            session.PartyState(providers_[1]).Get(kKeyShare2));
-      PSI_RETURN_NOT_OK(wire::UnpackBigInts(buf, &s2));
+      PSI_RETURN_NOT_OK(wire::UnpackBigInts(*buf, &s2));
     }
     if (masks.size() != n || s1.size() != total || s2.size() != total) {
       return Status::Internal("checkpointed stage state has wrong geometry");
@@ -508,22 +518,23 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
   session.AddStage("recombine", [&, this]() -> Status {
     std::vector<Arc> omega;
     {
-      PSI_ASSIGN_OR_RETURN(auto buf, session.PartyState(host_).Get(kKeyOmega));
-      PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &omega));
+      PSI_ASSIGN_OR_RETURN(const SessionBlob buf,
+                           session.PartyState(host_).Get(kKeyOmega));
+      PSI_RETURN_NOT_OK(wire::UnpackArcs(*buf, &omega));
     }
     const size_t q = omega.size();
     const size_t total = n + q;
     std::vector<BigUInt> host_m1;
     std::vector<BigInt> host_m2;
     {
-      PSI_ASSIGN_OR_RETURN(auto buf,
+      PSI_ASSIGN_OR_RETURN(const SessionBlob buf,
                            session.PartyState(host_).Get(kKeyMasked1));
-      PSI_RETURN_NOT_OK(wire::UnpackBigUInts(buf, &host_m1));
+      PSI_RETURN_NOT_OK(wire::UnpackBigUInts(*buf, &host_m1));
     }
     {
-      PSI_ASSIGN_OR_RETURN(auto buf,
+      PSI_ASSIGN_OR_RETURN(const SessionBlob buf,
                            session.PartyState(host_).Get(kKeyMasked2));
-      PSI_RETURN_NOT_OK(wire::UnpackBigInts(buf, &host_m2));
+      PSI_RETURN_NOT_OK(wire::UnpackBigInts(*buf, &host_m2));
     }
     if (host_m1.size() != total || host_m2.size() != total) {
       return Status::ProtocolError("masked share vectors have wrong length");

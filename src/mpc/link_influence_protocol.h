@@ -99,7 +99,15 @@ struct Protocol4Views {
 };
 
 /// \brief The counter vector one provider contributes to the batched secure
-/// sum: [a_0..a_{n-1}, numerator(pair_0)..numerator(pair_{q-1})].
+/// sum: [a_0..a_{n-1}, numerator(pair_0)..numerator(pair_{q-1})]. `rows`
+/// must be built for at least CounterRows(num_users, pairs) rows.
+[[nodiscard]] Result<std::vector<uint64_t>> ComputeProviderCounterVector(
+    const UserRows& rows, size_t num_users, const std::vector<Arc>& pairs,
+    const Protocol4Config& config,
+    const AggregatedClassCounters* extra = nullptr);
+
+/// \brief The same over an ActionLog: builds its rows, then runs the kernel
+/// above.
 [[nodiscard]] Result<std::vector<uint64_t>> ComputeProviderCounterVector(
     const ActionLog& log, size_t num_users, const std::vector<Arc>& pairs,
     const Protocol4Config& config,

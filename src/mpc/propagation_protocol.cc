@@ -249,8 +249,8 @@ constexpr uint8_t kModePacked = 2;
   }
   SessionState& st = *ctx->state;
 
-  PSI_ASSIGN_OR_RETURN(const std::vector<uint8_t> cfg_buf, st.Get(kKeyExecCfg));
-  BinaryReader cr(cfg_buf);
+  PSI_ASSIGN_OR_RETURN(const SessionBlob cfg_buf, st.Get(kKeyExecCfg));
+  BinaryReader cr(*cfg_buf);
   uint8_t mode_byte = 0;
   uint64_t delta_bound = 0;
   PSI_RETURN_NOT_OK(cr.ReadU8(&mode_byte));
@@ -262,13 +262,13 @@ constexpr uint8_t kModePacked = 2;
 
   std::vector<Arc> provider_omega;
   {
-    PSI_ASSIGN_OR_RETURN(const auto buf, st.Get(kKeyOmega));
-    PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &provider_omega));
+    PSI_ASSIGN_OR_RETURN(const SessionBlob buf, st.Get(kKeyOmega));
+    PSI_RETURN_NOT_OK(wire::UnpackArcs(*buf, &provider_omega));
   }
   RsaPublicKey pub;
   {
-    PSI_ASSIGN_OR_RETURN(const auto buf, st.Get(kKeyPublicKey));
-    PSI_RETURN_NOT_OK(UnpackPublicKey(buf, &pub));
+    PSI_ASSIGN_OR_RETURN(const SessionBlob buf, st.Get(kKeyPublicKey));
+    PSI_RETURN_NOT_OK(UnpackPublicKey(*buf, &pub));
   }
   // Packed geometry, derived from the published modulus and the public
   // Delta bound. When no whole slot fits the key the provider downgrades
@@ -282,9 +282,9 @@ constexpr uint8_t kModePacked = 2;
 
   ActionLog log;
   {
-    PSI_ASSIGN_OR_RETURN(const auto buf, st.Get(kKeyExecLog));
+    PSI_ASSIGN_OR_RETURN(const SessionBlob buf, st.Get(kKeyExecLog));
     std::vector<ActionRecord> records;
-    PSI_RETURN_NOT_OK(wire::UnpackRecords(buf, &records));
+    PSI_RETURN_NOT_OK(UnpackRecords(*buf, &records));
     for (const ActionRecord& rec : records) log.Add(rec);
   }
 
@@ -377,7 +377,7 @@ Result<Protocol6Output> PropagationGraphProtocol::RunSession(
   for (size_t k = 0; k < m; ++k) {
     SessionState& st = session.PartyState(providers_[k]);
     st.Put(kKeyExecCfg, cfg_buf);
-    st.Put(kKeyExecLog, wire::PackRecords(provider_logs[k].records()));
+    st.Put(kKeyExecLog, PackRecords(provider_logs[k].records()));
   }
 
   // ---- Steps 1-2: H publishes Omega_E'. ----
@@ -456,17 +456,18 @@ Result<Protocol6Output> PropagationGraphProtocol::RunSession(
   session.AddStage("relay", [&, this]() -> Status {
     network_->BeginRound("P6.Steps4-9 (P_k -> P_1: E(Delta))");
     for (size_t k = 1; k < m; ++k) {
-      PSI_ASSIGN_OR_RETURN(auto payload,
+      PSI_ASSIGN_OR_RETURN(const SessionBlob payload,
                            session.PartyState(providers_[k]).Get(kKeyPayload));
       PSI_RETURN_NOT_OK(network_->SendFramed(providers_[k], providers_[0],
                                              ProtocolId::kPropagationGraph,
-                                             kStepDeltas, payload));
+                                             kStepDeltas, *payload));
     }
     // P1 collects and forwards. Reset the relay counters so a replayed
     // stage observes the same totals as the fault-free run.
     views_.p1_relayed_bytes = 0;
-    PSI_ASSIGN_OR_RETURN(std::vector<uint8_t> aggregate,
+    PSI_ASSIGN_OR_RETURN(const SessionBlob own,
                          session.PartyState(providers_[0]).Get(kKeyPayload));
+    std::vector<uint8_t> aggregate = *own;
     for (size_t k = 1; k < m; ++k) {
       PSI_ASSIGN_OR_RETURN(
           auto buf, network_->RecvValidated(providers_[0], providers_[k],
@@ -492,14 +493,15 @@ Result<Protocol6Output> PropagationGraphProtocol::RunSession(
   session.AddStage("decode", [&, this]() -> Status {
     RsaPrivateKey priv;
     {
-      PSI_ASSIGN_OR_RETURN(auto buf,
+      PSI_ASSIGN_OR_RETURN(const SessionBlob buf,
                            session.PartyState(host_).Get(kKeyPrivateKey));
-      PSI_RETURN_NOT_OK(UnpackPrivateKey(buf, &priv));
+      PSI_RETURN_NOT_OK(UnpackPrivateKey(*buf, &priv));
     }
     std::vector<Arc> omega;
     {
-      PSI_ASSIGN_OR_RETURN(auto buf, session.PartyState(host_).Get(kKeyOmega));
-      PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &omega));
+      PSI_ASSIGN_OR_RETURN(const SessionBlob buf,
+                           session.PartyState(host_).Get(kKeyOmega));
+      PSI_RETURN_NOT_OK(wire::UnpackArcs(*buf, &omega));
     }
     const size_t q = omega.size();
     std::optional<PackingCodec> codec;
@@ -510,8 +512,9 @@ Result<Protocol6Output> PropagationGraphProtocol::RunSession(
     }
     const PackingCodec* codec_ptr = codec.has_value() ? &*codec : nullptr;
 
-    PSI_ASSIGN_OR_RETURN(auto all, session.PartyState(host_).Get(kKeyDeltas));
-    BinaryReader reader(all);
+    PSI_ASSIGN_OR_RETURN(const SessionBlob all,
+                         session.PartyState(host_).Get(kKeyDeltas));
+    BinaryReader reader(*all);
     out.graphs.assign(num_actions, PropagationGraph(host_graph.num_nodes()));
     views_.p1_relayed_ciphertexts = 0;
     uint64_t ops = 0;

@@ -9,15 +9,26 @@ namespace psi {
 
 // -- SessionState -----------------------------------------------------------
 
+namespace {
+
+// Bytes BinaryWriter::WriteVarU64 emits for `v`.
+uint64_t VarU64Size(uint64_t v) {
+  uint64_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+}  // namespace
+
 void SessionState::Put(const std::string& key, std::vector<uint8_t> value) {
-  entries_[key] = std::move(value);
+  entries_[key] = std::make_shared<const std::vector<uint8_t>>(std::move(value));
 }
 
 bool SessionState::Has(const std::string& key) const {
   return entries_.find(key) != entries_.end();
 }
 
-Result<std::vector<uint8_t>> SessionState::Get(const std::string& key) const {
+Result<SessionBlob> SessionState::Get(const std::string& key) const {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     return Status::FailedPrecondition("SessionState: no entry under key '" +
@@ -30,22 +41,23 @@ void SessionState::Clear() { entries_.clear(); }
 
 size_t SessionState::NumEntries() const { return entries_.size(); }
 
-uint64_t SessionState::ByteSize() const {
-  uint64_t total = 0;
+uint64_t SessionState::SerializedSize() const {
+  uint64_t total = sizeof(kSessionStateVersion) + VarU64Size(entries_.size());
   for (const auto& [key, value] : entries_) {
-    total += key.size() + value.size();
+    total += VarU64Size(key.size()) + key.size() + VarU64Size(value->size()) +
+             value->size();
   }
   return total;
 }
 
 std::vector<uint8_t> SessionState::Serialize() const {
   BinaryWriter w;
-  w.Reserve(16 + ByteSize());
+  w.Reserve(SerializedSize());
   w.WriteU32(kSessionStateVersion);
   w.WriteVarU64(entries_.size());
   for (const auto& [key, value] : entries_) {
     w.WriteString(key);
-    w.WriteBytes(value);
+    w.WriteBytes(*value);
   }
   return w.TakeBuffer();
 }
@@ -70,7 +82,10 @@ Result<SessionState> SessionState::Deserialize(
     PSI_RETURN_NOT_OK(r.ReadString(&key));
     PSI_RETURN_NOT_OK(r.ReadBytes(&value));
     const bool inserted =
-        state.entries_.emplace(std::move(key), std::move(value)).second;
+        state.entries_
+            .emplace(std::move(key),
+                     std::make_shared<const std::vector<uint8_t>>(std::move(value)))
+            .second;
     if (!inserted) {
       return Status::SerializationError("SessionState: duplicate key");
     }
@@ -198,8 +213,9 @@ SessionOrchestrator::Checkpoint SessionOrchestrator::Capture(
   Checkpoint cp;
   cp.stages_completed = stages_completed;
   cp.stage_ops = std::move(stage_ops);
+  // Copying a SessionState shares its blobs: O(keys), no value bytes.
   for (PartyId party : session.parties_) {
-    cp.party_blobs.emplace_back(party, session.PartyState(party).Serialize());
+    cp.party_states.emplace_back(party, session.PartyState(party));
   }
   for (Rng* rng : session.rngs_) {
     cp.rng_blobs.push_back(rng->SaveState());
@@ -209,9 +225,8 @@ SessionOrchestrator::Checkpoint SessionOrchestrator::Capture(
 
 Status SessionOrchestrator::Restore(ProtocolSession& session,
                                     const Checkpoint& checkpoint) {
-  for (const auto& [party, blob] : checkpoint.party_blobs) {
-    PSI_ASSIGN_OR_RETURN(session.states_[party],
-                         SessionState::Deserialize(blob));
+  for (const auto& [party, state] : checkpoint.party_states) {
+    session.states_[party] = state;
   }
   if (checkpoint.rng_blobs.size() != session.rngs_.size()) {
     return Status::Internal(
@@ -391,9 +406,9 @@ Status SessionOrchestrator::Run(ProtocolSession* session) {
       completed_high_water_ =
           std::max<uint32_t>(completed_high_water_, static_cast<uint32_t>(i) + 1);
       ++stats_.checkpoints_written;
-      for (const auto& [party, blob] : latest.party_blobs) {
+      for (const auto& [party, state] : latest.party_states) {
         (void)party;
-        stats_.checkpoint_bytes += blob.size();
+        stats_.checkpoint_bytes += state.SerializedSize();
       }
       for (const auto& blob : latest.rng_blobs) {
         stats_.checkpoint_bytes += blob.size();

@@ -17,8 +17,14 @@
 // material, masks, shares, RNG streams. They are process-local durable
 // storage and NEVER cross the wire; the only session traffic is the resume
 // handshake, whose payload is two public counters (attempt, next stage).
-// Checkpoint buffers are PSI_SECRET-annotated and psi_lint-audited
-// (docs/FAULTS.md has the full secrecy argument).
+// Checkpoints are PSI_SECRET-annotated and psi_lint-audited (docs/FAULTS.md
+// has the full secrecy argument).
+//
+// Copies are cheap: every stored value is an immutable, reference-counted
+// blob, so a checkpoint shares the live state's blobs (O(keys), not
+// O(bytes)) and a later Put replaces a key's blob rather than mutating it.
+// Serialization happens only where state leaves the process — the remote
+// executor's ship and response paths (mpc/remote_exec).
 
 #ifndef PSI_MPC_SESSION_H_
 #define PSI_MPC_SESSION_H_
@@ -26,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -44,8 +51,16 @@ inline constexpr uint32_t kSessionStateVersion = 1;
 /// \brief Step tag of the resume-handshake sync frame (ProtocolId::kSession).
 inline constexpr uint16_t kSessionStepResumeSync = 1;
 
+/// \brief An immutable stored value, shared by a SessionState and every copy
+/// of it (checkpoints included). Never null.
+using SessionBlob = std::shared_ptr<const std::vector<uint8_t>>;
+
 /// \brief One party's durable per-session store: named byte blobs written by
 /// stage bodies and restored verbatim on recovery.
+///
+/// Copying a SessionState copies its key -> blob map and shares the blobs:
+/// no value byte is copied, and since blobs are immutable, neither copy can
+/// observe the other's later Puts.
 ///
 /// Values are opaque to the session layer; stages encode them with the
 /// hardened mpc/wire.h codecs. Stage bodies routinely stash wire payloads
@@ -53,27 +68,29 @@ inline constexpr uint16_t kSessionStepResumeSync = 1;
 /// store itself is not PSI_SECRET — the taint engine tracks the underlying
 /// plaintexts at their source instead. The durable serialized form IS
 /// sensitive (it can embed private keys and RNG snapshots): Checkpoint's
-/// party_blobs/rng_blobs carry the PSI_SECRET annotation and must only ever
+/// party_states/rng_blobs carry the PSI_SECRET annotation and must only ever
 /// travel to durable storage, never to a peer.
 class SessionState {
  public:
-  /// \brief Inserts or overwrites the blob under `key`.
+  /// \brief Takes ownership of `value` as the blob under `key`, replacing
+  /// (not mutating) any blob stored there before.
   void Put(const std::string& key, std::vector<uint8_t> value);
 
   /// \brief True if a blob is stored under `key`.
   bool Has(const std::string& key) const;
 
-  /// \brief The blob under `key`, or FailedPrecondition if absent (a stage
-  /// reading state its predecessors never wrote is a driver bug).
-  [[nodiscard]] Result<std::vector<uint8_t>> Get(const std::string& key) const;
+  /// \brief The shared blob under `key` (no copy), or FailedPrecondition if
+  /// absent (a stage reading state its predecessors never wrote is a driver
+  /// bug).
+  [[nodiscard]] Result<SessionBlob> Get(const std::string& key) const;
 
   /// \brief Removes all entries.
   void Clear();
 
   size_t NumEntries() const;
 
-  /// \brief Total stored bytes (keys + values).
-  uint64_t ByteSize() const;
+  /// \brief Serialize().size(), computed without serializing.
+  uint64_t SerializedSize() const;
 
   /// \brief Versioned serialization: u32 version, varint entry count, then
   /// (string key, bytes value) pairs in key order.
@@ -86,7 +103,7 @@ class SessionState {
       const std::vector<uint8_t>& buf);
 
  private:
-  std::map<std::string, std::vector<uint8_t>> entries_;
+  std::map<std::string, SessionBlob> entries_;
 };
 
 /// \brief Deterministic retry schedule for a session run.
@@ -118,7 +135,10 @@ struct SessionStats {
   uint64_t stages_run = 0;       ///< Stage executions, including replays.
   uint64_t stages_resumed = 0;   ///< Stage executions skipped via resume.
   uint64_t checkpoints_written = 0;
-  uint64_t checkpoint_bytes = 0;  ///< Serialized bytes across all writes.
+  /// Serialized size of every checkpoint written (party states plus RNG
+  /// snapshots), as if each were written out whole — computed, not
+  /// serialized, since capture shares blobs.
+  uint64_t checkpoint_bytes = 0;
   uint64_t backoff_rounds = 0;    ///< Rounds spent waiting before retries.
   uint64_t handshake_messages = 0;  ///< Resume sync frames (incl. repairs).
   uint64_t handshake_bytes = 0;     ///< Wire bytes of the above.
@@ -289,13 +309,12 @@ class SessionOrchestrator {
   }
 
  protected:
-  /// One full checkpoint: serialized party states + RNG snapshots + the
-  /// per-completed-stage crypto-op ledger. Holds key material and masks —
-  /// PSI_SECRET, durable-storage only.
+  /// One full checkpoint: every party's state (sharing the live state's
+  /// blobs) + RNG snapshots + the per-completed-stage crypto-op ledger.
+  /// Holds key material and masks — PSI_SECRET, durable-storage only.
   struct Checkpoint {
     uint32_t stages_completed = 0;
-    PSI_SECRET std::vector<std::pair<PartyId, std::vector<uint8_t>>>
-        party_blobs;
+    PSI_SECRET std::vector<std::pair<PartyId, SessionState>> party_states;
     PSI_SECRET std::vector<std::vector<uint8_t>> rng_blobs;
     std::vector<uint64_t> stage_ops;  ///< Ops metered per completed stage.
   };

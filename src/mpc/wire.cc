@@ -82,32 +82,6 @@ Status UnpackU64s(const std::vector<uint8_t>& buf, std::vector<uint64_t>* out) {
   return Status::OK();
 }
 
-std::vector<uint8_t> PackRecords(const std::vector<ActionRecord>& records) {
-  BinaryWriter w;
-  w.WriteVarU64(records.size());
-  for (const auto& r : records) {
-    w.WriteU32(r.user);
-    w.WriteU32(r.action);
-    w.WriteU64(r.time);
-  }
-  return w.TakeBuffer();
-}
-
-Status UnpackRecords(const std::vector<uint8_t>& buf,
-                     std::vector<ActionRecord>* out) {
-  BinaryReader r(buf);
-  uint64_t count;
-  PSI_RETURN_NOT_OK(r.ReadCount(&count, /*min_bytes_per_element=*/16));
-  out->resize(count);
-  for (auto& rec : *out) {
-    PSI_RETURN_NOT_OK(r.ReadU32(&rec.user));
-    PSI_RETURN_NOT_OK(r.ReadU32(&rec.action));
-    PSI_RETURN_NOT_OK(r.ReadU64(&rec.time));
-  }
-  if (!r.AtEnd()) return Status::SerializationError("trailing bytes");
-  return Status::OK();
-}
-
 namespace {
 
 void WriteRngBlobs(BinaryWriter* w, const std::vector<ExecRngBlob>& blobs) {

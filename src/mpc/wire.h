@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "actionlog/action_log.h"
 #include "bigint/bigint.h"
 #include "bigint/biguint.h"
 #include "common/annotations.h"
@@ -63,15 +62,6 @@ std::vector<uint8_t> PackU64s(const std::vector<uint64_t>& v);
 /// bytes.
 [[nodiscard]] Status UnpackU64s(const std::vector<uint8_t>& buf,
                                 std::vector<uint64_t>* out);
-
-/// \brief Encodes an action-record batch as varint count +
-/// (u32 user, u32 action, u64 time) triples.
-std::vector<uint8_t> PackRecords(const std::vector<ActionRecord>& records);
-
-/// \brief Decodes PackRecords output; rejects oversized counts and trailing
-/// bytes.
-[[nodiscard]] Status UnpackRecords(const std::vector<uint8_t>& buf,
-                                   std::vector<ActionRecord>* out);
 
 // ---------------------------------------------------------------------------
 // Remote stage execution (ProtocolId::kExec). An ExecRequest asks the daemon

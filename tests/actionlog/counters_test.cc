@@ -5,6 +5,7 @@
 #include "actionlog/generator.h"
 #include "common/thread_pool.h"
 #include "graph/generators.h"
+#include "mpc/link_influence_protocol.h"
 
 namespace psi {
 namespace {
@@ -245,6 +246,95 @@ TEST(CountersTest, CountsReflectLaterAddAndMerge) {
   const std::vector<std::vector<uint64_t>> delays{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}};
   EXPECT_EQ(ComputeExactDelayCounts(log, pairs, 3), delays);
   EXPECT_EQ(ComputeActionCounts(log, 3), (std::vector<uint64_t>{0, 2, 2}));
+}
+
+// Raw records over users [0, 18) — past the n = 15 the counters cover — with
+// repeated (user, action) pairs whose later copy carries an earlier time, in
+// the order a packed log would hold them (no ActionLog dedup applied).
+std::vector<ActionRecord> RandomRawRecords(Rng* rng, size_t count) {
+  std::vector<ActionRecord> raw;
+  for (size_t k = 0; k < count; ++k) {
+    ActionRecord rec{static_cast<NodeId>(rng->UniformU64(18)),
+                     static_cast<ActionId>(rng->UniformU64(15)),
+                     rng->UniformU64(30)};
+    raw.push_back(rec);
+    if (rng->UniformU64(4) == 0 && rec.time > 0) {
+      rec.time -= 1 + rng->UniformU64(rec.time);
+      raw.push_back(rec);
+    }
+  }
+  return raw;
+}
+
+// The P4 counter vector from a packed-records blob must equal the ActionLog
+// path's element for element: the blob path dedups (user, action) itself.
+TEST(CountersTest, PackedRowsMatchActionLogPath) {
+  Rng rng(1605);
+  const size_t num_users = 15;
+  Protocol4Config eq1;
+  Protocol4Config eq2;
+  eq2.h = 4;
+  eq2.weights = TemporalWeights::LinearDecay(4);
+  eq2.weight_scale = 1u << 16;
+  for (size_t trial = 0; trial < 30; ++trial) {
+    // Trial 0 is the empty log.
+    const std::vector<ActionRecord> raw =
+        RandomRawRecords(&rng, trial == 0 ? 0 : 40 * trial);
+    ActionLog log;
+    for (const ActionRecord& r : raw) log.Add(r);
+    const std::vector<Arc> pairs = RandomPairs(&rng);
+    const size_t rows_needed = CounterRows(num_users, pairs);
+    const std::vector<uint8_t> packed = PackRecords(raw);
+    const UserRows from_blob(PackedRecords::Open(packed).ValueOrDie(),
+                             rows_needed);
+    const UserRows from_raw(raw, rows_needed);
+    ASSERT_EQ(ComputeActionCounts(from_blob, num_users),
+              ComputeActionCounts(log, num_users))
+        << "trial " << trial;
+    for (const Protocol4Config* cfg : {&eq1, &eq2}) {
+      const auto expected =
+          ComputeProviderCounterVector(log, num_users, pairs, *cfg).ValueOrDie();
+      ASSERT_EQ(expected.size(), num_users + pairs.size());
+      ASSERT_EQ(ComputeProviderCounterVector(from_blob, num_users, pairs, *cfg)
+                    .ValueOrDie(),
+                expected)
+          << "trial " << trial << (cfg == &eq2 ? " Eq. 2" : " Eq. 1");
+      ASSERT_EQ(ComputeProviderCounterVector(from_raw, num_users, pairs, *cfg)
+                    .ValueOrDie(),
+                expected)
+          << "trial " << trial;
+    }
+    // The kernel's own inputs agree too, against the brute force.
+    ASSERT_EQ(ComputeExactDelayCounts(from_blob, pairs, 4),
+              ReferenceExactDelayCounts(log, pairs, 4))
+        << "trial " << trial;
+  }
+}
+
+TEST(CountersTest, PackedRecordsRejectMalformedBuffers) {
+  const std::vector<uint8_t> packed = PackRecords({{0, 1, 2}, {3, 4, 5}});
+  std::vector<uint8_t> trailing = packed;
+  trailing.push_back(0);
+  std::vector<uint8_t> truncated(packed.begin(), packed.end() - 1);
+  std::vector<uint8_t> oversized = packed;
+  oversized[0] = 3;  // Claims a third record.
+  for (const auto& bad : {trailing, truncated, oversized,
+                          std::vector<uint8_t>{}}) {
+    auto view = PackedRecords::Open(bad);
+    ASSERT_FALSE(view.ok());
+    EXPECT_EQ(view.status().code(), StatusCode::kSerializationError);
+    std::vector<ActionRecord> records;
+    EXPECT_EQ(UnpackRecords(bad, &records).code(),
+              StatusCode::kSerializationError);
+  }
+}
+
+TEST(CountersTest, CounterVectorRejectsRowsTooShortForThePairs) {
+  const UserRows rows(SmallLog().records(), /*max_rows=*/3);
+  auto counters = ComputeProviderCounterVector(rows, 3, {{0, 5}},
+                                               Protocol4Config{});
+  ASSERT_FALSE(counters.ok());
+  EXPECT_EQ(counters.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,13 +1,23 @@
 // Failure injection: deserializers must reject arbitrary adversarial bytes
 // with a clean Status — never crash, hang, or over-allocate. (In the
 // deployment model every message crosses an organizational boundary.)
+// Random junk rarely gets past a decoder's first length check, so the
+// structure-aware loops below also flip, truncate and splice *valid*
+// encodings: bounded and seeded, so every run checks the same mutants.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "actionlog/action_log.h"
+#include "actionlog/counters.h"
 #include "bigint/bigint.h"
 #include "bigint/biguint.h"
 #include "common/random.h"
 #include "common/serialize.h"
+#include "mpc/link_influence_protocol.h"
+#include "mpc/session.h"
+#include "mpc/wire.h"
 
 namespace psi {
 namespace {
@@ -113,6 +123,143 @@ TEST(FuzzTest, TruncationOfValidPayloadsDetected) {
       EXPECT_NE(v, original) << "truncated parse equals original at " << len;
     }
   }
+}
+
+// One structure-aware mutant of corpus[pick]: 1-3 bit flips, a truncation,
+// or a splice of one valid encoding's prefix onto another's suffix.
+std::vector<uint8_t> Mutate(Rng* rng,
+                            const std::vector<std::vector<uint8_t>>& corpus) {
+  std::vector<uint8_t> out = corpus[rng->UniformU64(corpus.size())];
+  switch (rng->UniformU64(3)) {
+    case 0: {
+      const uint64_t flips = 1 + rng->UniformU64(3);
+      for (uint64_t f = 0; f < flips && !out.empty(); ++f) {
+        out[rng->UniformU64(out.size())] ^=
+            static_cast<uint8_t>(1u << rng->UniformU64(8));
+      }
+      break;
+    }
+    case 1:
+      out.resize(rng->UniformU64(out.size() + 1));
+      break;
+    default: {
+      const std::vector<uint8_t>& other =
+          corpus[rng->UniformU64(corpus.size())];
+      const size_t cut = rng->UniformU64(out.size() + 1);
+      const size_t from = rng->UniformU64(other.size() + 1);
+      out.resize(cut);
+      out.insert(out.end(), other.begin() + static_cast<ptrdiff_t>(from),
+                 other.end());
+      break;
+    }
+  }
+  return out;
+}
+
+constexpr size_t kFuzzUsers = 12;
+
+// Raw records over users [0, 14), past kFuzzUsers, with repeated (user,
+// action) pairs whose later copy carries an earlier time.
+std::vector<ActionRecord> FuzzRecords(Rng* rng) {
+  std::vector<ActionRecord> raw(rng->UniformU64(40));
+  for (ActionRecord& r : raw) {
+    r = {static_cast<NodeId>(rng->UniformU64(14)),
+         static_cast<ActionId>(rng->UniformU64(6)), rng->UniformU64(20)};
+  }
+  if (!raw.empty()) {
+    ActionRecord repeat = raw[rng->UniformU64(raw.size())];
+    repeat.time /= 2;
+    raw.push_back(repeat);
+  }
+  return raw;
+}
+
+std::vector<Arc> FuzzPairs() {
+  std::vector<Arc> pairs;
+  for (NodeId i = 0; i < kFuzzUsers; ++i) {
+    for (NodeId j = 0; j < kFuzzUsers; ++j) {
+      if (i != j) pairs.push_back({i, j});
+    }
+  }
+  return pairs;
+}
+
+// A packed log decodes into counter rows exactly when UnpackRecords accepts
+// it, and then yields the counters of UnpackRecords + ActionLog.
+void ExpectPackedLogAgrees(const std::vector<uint8_t>& packed,
+                           const std::vector<Arc>& pairs, size_t mutant) {
+  const Protocol4Config cfg;
+  auto view = PackedRecords::Open(packed);
+  std::vector<ActionRecord> records;
+  const Status unpacked = UnpackRecords(packed, &records);
+  ASSERT_EQ(view.ok(), unpacked.ok()) << "mutant " << mutant;
+  if (!view.ok()) {
+    ASSERT_EQ(view.status().code(), StatusCode::kSerializationError)
+        << "mutant " << mutant;
+    return;
+  }
+  const UserRows rows(*view, CounterRows(kFuzzUsers, pairs));
+  ActionLog log;
+  for (const ActionRecord& r : records) log.Add(r);
+  ASSERT_EQ(
+      ComputeProviderCounterVector(rows, kFuzzUsers, pairs, cfg).ValueOrDie(),
+      ComputeProviderCounterVector(log, kFuzzUsers, pairs, cfg).ValueOrDie())
+      << "mutant " << mutant;
+}
+
+TEST(FuzzTest, MutatedPackedRecordsFailCleanlyOrMatchActionLog) {
+  Rng rng(0x9ac4);
+  const std::vector<Arc> pairs = FuzzPairs();
+  std::vector<std::vector<uint8_t>> corpus;
+  for (int k = 0; k < 16; ++k) {
+    corpus.push_back(PackRecords(FuzzRecords(&rng)));
+  }
+  size_t accepted = 0;
+  for (size_t mutant = 0; mutant < 3000; ++mutant) {
+    const std::vector<uint8_t> packed = Mutate(&rng, corpus);
+    ExpectPackedLogAgrees(packed, pairs, mutant);
+    if (PackedRecords::Open(packed).ok()) ++accepted;
+  }
+  // Bit flips inside a record leave a well-formed (different) log: both
+  // outcomes must actually occur, or the loop is not testing agreement.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_LT(accepted, 2900u);
+}
+
+TEST(FuzzTest, MutatedSessionStatesFailCleanlyOrRoundTrip) {
+  Rng rng(0x5e55);
+  const std::vector<Arc> pairs = FuzzPairs();
+  std::vector<std::vector<uint8_t>> corpus;
+  for (size_t k = 0; k < 16; ++k) {
+    SessionState state;
+    state.Put("exec.log", PackRecords(FuzzRecords(&rng)));
+    state.Put("omega", wire::PackArcs(pairs));
+    if (k % 2 == 0) state.Put("s" + std::to_string(k), std::vector<uint8_t>(k));
+    corpus.push_back(state.Serialize());
+  }
+  size_t accepted = 0, logs_checked = 0;
+  for (size_t mutant = 0; mutant < 3000; ++mutant) {
+    const std::vector<uint8_t> buf = Mutate(&rng, corpus);
+    auto state = SessionState::Deserialize(buf);
+    if (!state.ok()) {
+      ASSERT_EQ(state.status().code(), StatusCode::kSerializationError)
+          << "mutant " << mutant;
+      continue;
+    }
+    ++accepted;
+    // An accepted buffer is a whole state: it re-serializes to a buffer of
+    // its computed size that parses back to the same state.
+    const std::vector<uint8_t> again = state->Serialize();
+    ASSERT_EQ(again.size(), state->SerializedSize()) << "mutant " << mutant;
+    ASSERT_EQ(SessionState::Deserialize(again).ValueOrDie().Serialize(), again)
+        << "mutant " << mutant;
+    if (state->Has("exec.log")) {
+      ++logs_checked;
+      ExpectPackedLogAgrees(*state->Get("exec.log").ValueOrDie(), pairs, mutant);
+    }
+  }
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(logs_checked, 100u);
 }
 
 }  // namespace

@@ -447,10 +447,9 @@ void RegisterTestProgram() {
           return Status::FailedPrecondition(
               "test/incr wants one state and one RNG");
         }
-        PSI_ASSIGN_OR_RETURN(const std::vector<uint8_t> buf,
-                             ctx->state->Get("x"));
+        PSI_ASSIGN_OR_RETURN(const SessionBlob buf, ctx->state->Get("x"));
         std::vector<uint64_t> x;
-        PSI_RETURN_NOT_OK(wire::UnpackU64s(buf, &x));
+        PSI_RETURN_NOT_OK(wire::UnpackU64s(*buf, &x));
         if (x.size() != 1) return Status::FailedPrecondition("bad x");
         x[0] += 1 + ctx->rngs[0]->UniformU64(10);
         ctx->state->Put("x", wire::PackU64s(x));
@@ -504,7 +503,7 @@ TEST(StageExecutorTest, ExecutesCachesAndRestoresState) {
   EXPECT_NE(first.rng_blobs[0].second, req.rng_blobs[0].second);
   auto after = SessionState::Deserialize(first.state_blob).ValueOrDie();
   std::vector<uint64_t> x;
-  ASSERT_TRUE(wire::UnpackU64s(after.Get("x").ValueOrDie(), &x).ok());
+  ASSERT_TRUE(wire::UnpackU64s(*after.Get("x").ValueOrDie(), &x).ok());
   Rng replay(77);
   EXPECT_EQ(x[0], 41 + 1 + replay.UniformU64(10));
   EXPECT_EQ(executor.stats().executed, 1u);

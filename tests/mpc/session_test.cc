@@ -1,19 +1,29 @@
 // Unit tests for the session/recovery layer (mpc/session.h): durable state
-// serialization, retry orchestration, RNG rewind, and the crypto-op ledger.
+// serialization, blob sharing between live state and checkpoints, retry
+// orchestration, RNG rewind, and the crypto-op ledger.
 
 #include "mpc/session.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "actionlog/generator.h"
+#include "actionlog/partition.h"
 #include "common/serialize.h"
+#include "graph/generators.h"
+#include "mpc/link_influence_protocol.h"
 
 namespace psi {
 namespace {
 
 std::vector<uint8_t> Bytes(std::initializer_list<uint8_t> v) { return v; }
+
+// SessionStats::checkpoint_bytes of RunP4's clean three-provider run,
+// recorded at the commit before capture shared blobs.
+constexpr uint64_t kPinnedP4CheckpointBytes = 482596;
 
 TEST(SessionStateTest, PutGetHasClear) {
   SessionState state;
@@ -23,10 +33,11 @@ TEST(SessionStateTest, PutGetHasClear) {
   state.Put("masks", Bytes({9}));
   EXPECT_TRUE(state.Has("omega"));
   EXPECT_EQ(state.NumEntries(), 2u);
-  EXPECT_EQ(state.ByteSize(), 5u + 5u + 3u + 1u);  // keys 5+5, values 3+1.
-  EXPECT_EQ(state.Get("omega").ValueOrDie(), Bytes({1, 2, 3}));
+  // Version, count, then a length byte before each key and each value.
+  EXPECT_EQ(state.SerializedSize(), 4u + 1u + (1u + 5u + 1u + 3u) + (1u + 5u + 1u + 1u));
+  EXPECT_EQ(*state.Get("omega").ValueOrDie(), Bytes({1, 2, 3}));
   state.Put("omega", Bytes({7}));  // Overwrite.
-  EXPECT_EQ(state.Get("omega").ValueOrDie(), Bytes({7}));
+  EXPECT_EQ(*state.Get("omega").ValueOrDie(), Bytes({7}));
   state.Clear();
   EXPECT_EQ(state.NumEntries(), 0u);
   EXPECT_FALSE(state.Has("omega"));
@@ -46,9 +57,9 @@ TEST(SessionStateTest, SerializeRoundTrips) {
   state.Put("pubkey", std::vector<uint8_t>(300, 0x5a));
   auto restored = SessionState::Deserialize(state.Serialize()).ValueOrDie();
   EXPECT_EQ(restored.NumEntries(), 3u);
-  EXPECT_EQ(restored.Get("a").ValueOrDie(), Bytes({}));
-  EXPECT_EQ(restored.Get("counters").ValueOrDie(), Bytes({0, 255, 128}));
-  EXPECT_EQ(restored.Get("pubkey").ValueOrDie(),
+  EXPECT_EQ(*restored.Get("a").ValueOrDie(), Bytes({}));
+  EXPECT_EQ(*restored.Get("counters").ValueOrDie(), Bytes({0, 255, 128}));
+  EXPECT_EQ(*restored.Get("pubkey").ValueOrDie(),
             std::vector<uint8_t>(300, 0x5a));
   // Byte-stable: serializing the restored state reproduces the buffer.
   EXPECT_EQ(restored.Serialize(), state.Serialize());
@@ -110,6 +121,36 @@ TEST(SessionStateTest, DeserializeRejectsOversizedCount) {
   w.WriteVarU64(1u << 30);  // Claims a billion entries in a tiny buffer.
   auto result = SessionState::Deserialize(w.TakeBuffer());
   EXPECT_FALSE(result.ok());
+}
+
+TEST(SessionStateTest, SerializedSizeIsExact) {
+  SessionState state;
+  EXPECT_EQ(state.SerializedSize(), state.Serialize().size());
+  // Lengths on both sides of the one- and two-byte varint boundaries.
+  for (size_t len : {0u, 1u, 127u, 128u, 16383u, 16384u}) {
+    state.Put("v" + std::to_string(len), std::vector<uint8_t>(len, 0x33));
+    state.Put(std::string(len, 'k'), Bytes({1}));
+    EXPECT_EQ(state.SerializedSize(), state.Serialize().size()) << len;
+  }
+}
+
+TEST(SessionStateTest, CopiesShareBlobsAndIsolateLaterPuts) {
+  SessionState live;
+  live.Put("log", std::vector<uint8_t>(4096, 0x7e));
+  live.Put("x", Bytes({1}));
+  const SessionState snapshot = live;
+  // The copy references the same immutable blob: no value byte was copied.
+  EXPECT_EQ(snapshot.Get("log").ValueOrDie().get(),
+            live.Get("log").ValueOrDie().get());
+  // A blob handed out by Get survives the key being overwritten.
+  const SessionBlob old_x = live.Get("x").ValueOrDie();
+  live.Put("x", Bytes({2}));
+  live.Put("new", Bytes({3}));
+  EXPECT_EQ(*old_x, Bytes({1}));
+  EXPECT_EQ(*snapshot.Get("x").ValueOrDie(), Bytes({1}));
+  EXPECT_FALSE(snapshot.Has("new"));
+  EXPECT_EQ(*live.Get("x").ValueOrDie(), Bytes({2}));
+  EXPECT_EQ(snapshot.Serialize().size(), snapshot.SerializedSize());
 }
 
 // -- Orchestrator -----------------------------------------------------------
@@ -274,13 +315,172 @@ TEST(SessionOrchestratorTest, RestoreDiscardsFailedAttemptStateWrites) {
       session.PartyState(w.alice).Put("x", Bytes({2}));
       return Status::ProtocolError("fail after clobbering");
     }
-    seen_on_replay = session.PartyState(w.alice).Get("x").ValueOrDie();
+    seen_on_replay = *session.PartyState(w.alice).Get("x").ValueOrDie();
     return Status::OK();
   });
   SessionOrchestrator orchestrator(RetryPolicy{});
   ASSERT_TRUE(orchestrator.Run(&session).ok());
   // The replayed stage sees the checkpointed value, not the failed write.
   EXPECT_EQ(seen_on_replay, Bytes({1}));
+}
+
+// Exposes the checkpoint primitives the run loop uses.
+class CheckpointProbe : public SessionOrchestrator {
+ public:
+  CheckpointProbe() : SessionOrchestrator(RetryPolicy{}) {}
+  using SessionOrchestrator::Capture;
+  using SessionOrchestrator::Checkpoint;
+  using SessionOrchestrator::Restore;
+};
+
+TEST(SessionOrchestratorTest, PutsAfterCaptureDoNotLeakIntoRestore) {
+  TestWorld w;
+  Rng rng(5);
+  ProtocolSession session("t", &w.net, {w.alice, w.bob});
+  session.RegisterRng("r", &rng);
+  session.PartyState(w.alice).Put("log", std::vector<uint8_t>(4096, 0x7e));
+  session.PartyState(w.alice).Put("x", Bytes({1}));
+  const uint8_t* log_bytes =
+      session.PartyState(w.alice).Get("log").ValueOrDie()->data();
+
+  CheckpointProbe probe;
+  const CheckpointProbe::Checkpoint cp = probe.Capture(session, 0, {});
+  const uint64_t first_draw = rng.NextU64();
+  session.PartyState(w.alice).Put("x", Bytes({2}));    // Overwrite.
+  session.PartyState(w.alice).Put("new", Bytes({3}));  // New key.
+  session.PartyState(w.bob).Put("y", Bytes({4}));      // Other party.
+  session.PartyState(w.alice).Clear();
+
+  ASSERT_TRUE(probe.Restore(session, cp).ok());
+  EXPECT_EQ(*session.PartyState(w.alice).Get("x").ValueOrDie(), Bytes({1}));
+  EXPECT_FALSE(session.PartyState(w.alice).Has("new"));
+  EXPECT_FALSE(session.PartyState(w.bob).Has("y"));
+  EXPECT_EQ(session.PartyState(w.alice).NumEntries(), 2u);
+  // Capture and restore shared the log's blob; neither copied it.
+  EXPECT_EQ(session.PartyState(w.alice).Get("log").ValueOrDie()->data(),
+            log_bytes);
+  EXPECT_EQ(rng.NextU64(), first_draw);
+  // The checkpoint is reusable: a second restore sees the same state.
+  session.PartyState(w.alice).Put("x", Bytes({9}));
+  ASSERT_TRUE(probe.Restore(session, cp).ok());
+  EXPECT_EQ(*session.PartyState(w.alice).Get("x").ValueOrDie(), Bytes({1}));
+}
+
+// A small P4 world: m providers over an ER graph with cascaded logs.
+struct P4World {
+  explicit P4World(size_t m) : rng(7) {
+    graph = ErdosRenyiArcs(&rng, 40, 200).ValueOrDie();
+    auto truth = GroundTruthInfluence::Random(&rng, graph, 0.1, 0.7);
+    CascadeParams params;
+    params.num_actions = 60;
+    params.seeds_per_action = 2;
+    log = GenerateCascades(&rng, graph, truth, params).ValueOrDie();
+    provider_logs = ExclusivePartition(&rng, log, m).ValueOrDie();
+  }
+
+  Rng rng;
+  SocialGraph graph{0};
+  ActionLog log;
+  std::vector<ActionLog> provider_logs;
+};
+
+// Runs stages through the base orchestrator, fails stage `fail_at`'s first
+// execution after it ran (its state writes and draws are then stale), and
+// adds up Serialize().size() of every party state and RNG snapshot at each
+// completed stage boundary — what a serializing checkpoint would write.
+class SerializingOrchestrator : public SessionOrchestrator {
+ public:
+  SerializingOrchestrator(RetryPolicy policy, size_t fail_at)
+      : SessionOrchestrator(policy), fail_at_(fail_at) {}
+
+  uint64_t serialized_bytes() const { return serialized_bytes_; }
+
+ protected:
+  Status RunStage(ProtocolSession* session, size_t index) override {
+    PSI_RETURN_NOT_OK(SessionOrchestrator::RunStage(session, index));
+    if (index == fail_at_ && !failed_) {
+      failed_ = true;
+      return Status::ProtocolError("injected failure after the stage ran");
+    }
+    for (PartyId party : session->parties()) {
+      serialized_bytes_ += session->PartyState(party).Serialize().size();
+    }
+    for (const std::string& label : session->rng_labels()) {
+      serialized_bytes_ += session->RngByLabel(label)->SaveState().size();
+    }
+    return Status::OK();
+  }
+
+ private:
+  size_t fail_at_;
+  bool failed_ = false;
+  uint64_t serialized_bytes_ = 0;
+};
+
+struct P4Run {
+  LinkInfluence result;
+  SessionStats stats;
+  uint64_t serialized_bytes = 0;
+};
+
+P4Run RunP4(const P4World& world, size_t m, size_t fail_at) {
+  Network net;
+  const PartyId host = net.RegisterParty("H");
+  std::vector<PartyId> providers;
+  std::vector<std::unique_ptr<Rng>> rngs;
+  std::vector<Rng*> rng_ptrs;
+  for (size_t k = 0; k < m; ++k) {
+    providers.push_back(net.RegisterParty("P" + std::to_string(k + 1)));
+    rngs.push_back(std::make_unique<Rng>(700 + k));
+    rng_ptrs.push_back(rngs.back().get());
+  }
+  Rng host_rng(8), pair_secret(9);
+  LinkInfluenceProtocol proto(&net, host, providers, Protocol4Config{});
+  RetryPolicy retry;
+  SerializingOrchestrator orchestrator(retry, fail_at);
+  P4Run run;
+  run.result = proto.RunSession(world.graph, 60, world.provider_logs,
+                                &host_rng, rng_ptrs, &pair_secret, retry,
+                                &run.stats, {}, &orchestrator)
+                   .ValueOrDie();
+  run.serialized_bytes = orchestrator.serialized_bytes();
+  EXPECT_EQ(net.PendingCount(), 0u);
+  return run;
+}
+
+TEST(SessionOrchestratorTest, P4CheckpointBytesEqualSerializedSizes) {
+  P4World world(3);
+  const P4Run run = RunP4(world, 3, /*fail_at=*/SIZE_MAX);
+  EXPECT_EQ(run.stats.attempts, 1u);
+  EXPECT_EQ(run.stats.checkpoint_bytes, run.serialized_bytes);
+  // Recorded when checkpoints were still serialized at capture: sharing
+  // blobs changed what capture costs, not what it reports.
+  EXPECT_EQ(run.stats.checkpoint_bytes, kPinnedP4CheckpointBytes);
+}
+
+TEST(SessionOrchestratorTest, P4ResumesEveryStageWithOneHandshakeRound) {
+  constexpr size_t kProviders = 3;
+  P4World world(kProviders);
+  const P4Run clean = RunP4(world, kProviders, /*fail_at=*/SIZE_MAX);
+  ASSERT_GT(clean.stats.stages_run, kProviders + 1);
+  for (size_t k = 0; k < clean.stats.stages_run; ++k) {
+    const P4Run resumed = RunP4(world, kProviders, k);
+    EXPECT_EQ(resumed.stats.attempts, 2u) << "stage " << k;
+    EXPECT_EQ(resumed.stats.resumes, 1u) << "stage " << k;
+    EXPECT_EQ(resumed.stats.stages_resumed, k) << "stage " << k;
+    // One handshake round: one sync frame per ordered pair of parties.
+    EXPECT_EQ(resumed.stats.handshake_messages,
+              (kProviders + 1) * kProviders)
+        << "stage " << k;
+    EXPECT_EQ(resumed.stats.crypto_ops_recomputed, 0u) << "stage " << k;
+    // The replay starts from the checkpoint, not from the failed attempt's
+    // writes, so the result and the checkpoint volume match the clean run.
+    EXPECT_EQ(resumed.result.p, clean.result.p) << "stage " << k;
+    EXPECT_EQ(resumed.stats.checkpoint_bytes, clean.stats.checkpoint_bytes)
+        << "stage " << k;
+    EXPECT_EQ(resumed.stats.checkpoint_bytes, resumed.serialized_bytes)
+        << "stage " << k;
+  }
 }
 
 TEST(SessionOrchestratorTest, BackoffScheduleIsDeterministic) {

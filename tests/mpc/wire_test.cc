@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "actionlog/action_log.h"
 #include "common/serialize.h"
 #include "mpc/class_aggregation.h"
 
@@ -105,7 +106,7 @@ TEST(WireBigInts, RejectsTrailingBytes) {
 TEST(WireRecords, RoundTrips) {
   std::vector<ActionRecord> recs = {{1, 2, 30}, {4, 5, 60}};
   std::vector<ActionRecord> decoded;
-  ASSERT_TRUE(wire::UnpackRecords(wire::PackRecords(recs), &decoded).ok());
+  ASSERT_TRUE(UnpackRecords(PackRecords(recs), &decoded).ok());
   EXPECT_EQ(decoded, recs);
 }
 
@@ -114,14 +115,14 @@ TEST(WireRecords, RoundTrips) {
 TEST(WireRecords, RejectsCountExceedingBuffer) {
   auto buf = CountOnlyBuffer(uint64_t{1} << 32, 16);
   std::vector<ActionRecord> decoded;
-  EXPECT_FALSE(wire::UnpackRecords(buf, &decoded).ok());
+  EXPECT_FALSE(UnpackRecords(buf, &decoded).ok());
 }
 
 TEST(WireRecords, RejectsTruncatedElement) {
-  auto good = wire::PackRecords({{1, 2, 3}});
+  auto good = PackRecords({{1, 2, 3}});
   good.pop_back();
   std::vector<ActionRecord> decoded;
-  EXPECT_FALSE(wire::UnpackRecords(good, &decoded).ok());
+  EXPECT_FALSE(UnpackRecords(good, &decoded).ok());
 }
 
 TEST(CountersCodec, RoundTrips) {

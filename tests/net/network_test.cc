@@ -191,7 +191,7 @@ TEST_F(NetworkTest, RecvValidatedRejectsRawTraffic) {
   EXPECT_EQ(r.status().code(), StatusCode::kProtocolError);
 }
 
-TEST_F(NetworkTest, BaseNetworkHasNoRetransmissionStore) {
+TEST_F(NetworkTest, RetransmitOfUnretainedSeqIsRefusedNamingChannel) {
   net_.BeginRound("r");
   auto r = net_.RequestRetransmit(b_, a_, 0);
   ASSERT_FALSE(r.ok());
