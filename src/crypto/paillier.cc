@@ -173,9 +173,11 @@ Result<BigUInt> PaillierDecryptCrt(const PaillierPrivateKey& key,
   if (!key.HasCrt()) return PaillierDecrypt(key, c);
   // The classic path's well-formedness check (c^lambda ≡ 1 mod n) fails
   // exactly when gcd(c, n) != 1 — for coprime c, Fermat gives c^lambda ≡ 1
-  // both mod p and mod q. Test the gcd directly; it is far cheaper than an
-  // extra full-width exponentiation.
-  if (!Gcd(c % key.n, key.n).IsOne()) {
+  // both mod p and mod q. With n = p*q for primes p and q, that gcd is 1
+  // exactly when neither prime divides c: two half-width remainders, where
+  // Euclid's algorithm on n took a quarter of the whole decryption.
+  // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
+  if ((c % key.p).IsZero() || (c % key.q).IsZero()) {
     return Status::CryptoError("malformed Paillier ciphertext");
   }
   // m_p = L_p(c^(p-1) mod p^2) * hp mod p: the decryption exponent lambda
@@ -185,9 +187,9 @@ Result<BigUInt> PaillierDecryptCrt(const PaillierPrivateKey& key,
   BigUInt p1 = key.p - BigUInt(1);
   BigUInt q1 = key.q - BigUInt(1);
   // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
-  BigUInt up = ModPow(c % key.p_squared, p1, key.p_squared);
+  BigUInt up = ModPow(c, p1, key.p_squared);
   // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
-  BigUInt uq = ModPow(c % key.q_squared, q1, key.q_squared);
+  BigUInt uq = ModPow(c, q1, key.q_squared);
   // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
   BigUInt m_p = ModMul((up - BigUInt(1)) / key.p, key.hp, key.p);
   // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel

@@ -47,11 +47,13 @@ Result<BigUInt> RsaEncrypt(const RsaPublicKey& key, const BigUInt& m) {
 
 Result<BigUInt> RsaDecrypt(const RsaPrivateKey& key, const BigUInt& c) {
   if (c >= key.n) return Status::InvalidArgument("RSA ciphertext >= modulus");
-  // CRT: m_p = c^dP mod p, m_q = c^dQ mod q, recombine via Garner.
+  // CRT: m_p = c^dP mod p, m_q = c^dQ mod q, recombine via Garner. ModPow
+  // reduces the full-width c itself, on stack limbs when p and q are engine
+  // widths (c < p*q, so c's high half is already below p).
   // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
-  BigUInt m_p = ModPow(c % key.p, key.d_mod_p1, key.p);
+  BigUInt m_p = ModPow(c, key.d_mod_p1, key.p);
   // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
-  BigUInt m_q = ModPow(c % key.q, key.d_mod_q1, key.q);
+  BigUInt m_q = ModPow(c, key.d_mod_q1, key.q);
   // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
   BigUInt h = ModMul(key.q_inv_p, ModSub(m_p, m_q % key.p, key.p), key.p);
   return m_q + h * key.q;

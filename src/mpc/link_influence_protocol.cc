@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -87,6 +89,17 @@ constexpr char kProgramCounters[] = "p4/counters";
   {
     PSI_ASSIGN_OR_RETURN(const SessionBlob buf, st.Get(kKeyOmega));
     PSI_RETURN_NOT_OK(wire::UnpackArcs(*buf, &provider_omega));
+  }
+  // num_users sizes the counter vector, so a damaged or hostile shipped
+  // state must not choose it freely: it must count NodeIds and cover every
+  // endpoint in Omega. A size inside that range is still trusted.
+  constexpr uint64_t kMaxUsers =
+      uint64_t{std::numeric_limits<NodeId>::max()} + 1;
+  if (num_users > kMaxUsers ||
+      CounterRows(num_users, provider_omega) != num_users) {
+    return Status::SerializationError(
+        "p4/counters: exec.cfg user count " + std::to_string(num_users) +
+        " is outside [1 + largest node id in omega, 2^32]");
   }
   // The packed log decodes straight into the kernel's per-user rows.
   PSI_ASSIGN_OR_RETURN(const SessionBlob packed_log, st.Get(kKeyExecLog));

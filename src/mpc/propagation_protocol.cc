@@ -60,37 +60,6 @@ PSI_SANITIZES std::vector<uint8_t> PackPublicKey(const RsaPublicKey& key) {
   return Status::OK();
 }
 
-// Checkpoint codec for the host's private key (CRT values included, so a
-// restarted host decrypts at full speed). Durable-storage only.
-std::vector<uint8_t> PackPrivateKey(const RsaPrivateKey& key) {
-  BinaryWriter w;
-  WriteBigUInt(&w, key.n);
-  WriteBigUInt(&w, key.d);
-  WriteBigUInt(&w, key.p);
-  WriteBigUInt(&w, key.q);
-  WriteBigUInt(&w, key.d_mod_p1);
-  WriteBigUInt(&w, key.d_mod_q1);
-  WriteBigUInt(&w, key.q_inv_p);
-  return w.TakeBuffer();
-}
-
-[[nodiscard]] Status UnpackPrivateKey(const std::vector<uint8_t>& buf,
-                                      RsaPrivateKey* out) {
-  BinaryReader r(buf);
-  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->n));
-  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->d));
-  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->p));
-  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->q));
-  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->d_mod_p1));
-  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->d_mod_q1));
-  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->q_inv_p));
-  if (!r.AtEnd()) return Status::SerializationError("trailing bytes");
-  if (out->n.IsZero() || out->d.IsZero()) {
-    return Status::SerializationError("checkpointed RSA key is degenerate");
-  }
-  return Status::OK();
-}
-
 // Encrypted Delta vector of one action, as serialized on the wire.
 constexpr uint8_t kModePerInteger = 0;
 constexpr uint8_t kModeHybrid = 1;
@@ -318,6 +287,43 @@ constexpr uint8_t kModePacked = 2;
 
 }  // namespace
 
+std::vector<uint8_t> PackRsaPrivateKey(const RsaPrivateKey& key) {
+  BinaryWriter w;
+  WriteBigUInt(&w, key.n);
+  WriteBigUInt(&w, key.d);
+  WriteBigUInt(&w, key.p);
+  WriteBigUInt(&w, key.q);
+  WriteBigUInt(&w, key.d_mod_p1);
+  WriteBigUInt(&w, key.d_mod_q1);
+  WriteBigUInt(&w, key.q_inv_p);
+  return w.TakeBuffer();
+}
+
+Status UnpackRsaPrivateKey(const std::vector<uint8_t>& buf,
+                           RsaPrivateKey* out) {
+  BinaryReader r(buf);
+  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->n));
+  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->d));
+  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->p));
+  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->q));
+  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->d_mod_p1));
+  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->d_mod_q1));
+  PSI_RETURN_NOT_OK(ReadBigUInt(&r, &out->q_inv_p));
+  if (!r.AtEnd()) return Status::SerializationError("trailing bytes");
+  // RsaDecrypt works modulo p and q and recombines with q_inv_p, so a
+  // damaged CRT block must fail here, not divide by zero there.
+  const BigUInt three(3);
+  const bool crt_ok = out->p.IsOdd() && out->q.IsOdd() && out->p >= three &&
+                      out->q >= three && out->p * out->q == out->n &&
+                      out->d_mod_p1 < out->p - BigUInt(1) &&
+                      out->d_mod_q1 < out->q - BigUInt(1) &&
+                      out->q_inv_p < out->p;
+  if (out->d.IsZero() || !crt_ok) {
+    return Status::SerializationError("checkpointed RSA key is degenerate");
+  }
+  return Status::OK();
+}
+
 void RegisterPropagationStagePrograms() {
   static std::once_flag once;
   std::call_once(once, [] {
@@ -418,7 +424,7 @@ Result<Protocol6Output> PropagationGraphProtocol::RunSession(
                          RsaGenerateKeyPair(host_rng, config_.rsa_bits));
     session.MeterCryptoOps(1);  // key generation
     session.PartyState(host_).Put(kKeyPrivateKey,
-                                  PackPrivateKey(keys.private_key));
+                                  PackRsaPrivateKey(keys.private_key));
     network_->BeginRound("P6.Step3 (H -> P_k: public key)");
     auto packed_key = PackPublicKey(keys.public_key);
     for (size_t k = 0; k < m; ++k) {
@@ -495,7 +501,7 @@ Result<Protocol6Output> PropagationGraphProtocol::RunSession(
     {
       PSI_ASSIGN_OR_RETURN(const SessionBlob buf,
                            session.PartyState(host_).Get(kKeyPrivateKey));
-      PSI_RETURN_NOT_OK(UnpackPrivateKey(*buf, &priv));
+      PSI_RETURN_NOT_OK(UnpackRsaPrivateKey(*buf, &priv));
     }
     std::vector<Arc> omega;
     {

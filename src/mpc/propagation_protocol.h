@@ -46,6 +46,18 @@ namespace psi {
 /// programs without ever driving a session.
 void RegisterPropagationStagePrograms();
 
+/// \brief Checkpoint codec for H's RSA private key, CRT values included so
+/// that a restarted host decrypts at full speed. Durable storage only: the
+/// private key never crosses the wire.
+std::vector<uint8_t> PackRsaPrivateKey(const RsaPrivateKey& key);
+
+/// \brief Inverse of PackRsaPrivateKey. Returns SerializationError unless
+/// `buf` is exactly one key with d != 0 and a consistent CRT block: p and q
+/// odd and >= 3, p*q = n, d_mod_p1 < p-1, d_mod_q1 < q-1 and q_inv_p < p.
+/// A damaged checkpoint thus fails here instead of aborting in RsaDecrypt.
+[[nodiscard]] Status UnpackRsaPrivateKey(const std::vector<uint8_t>& buf,
+                                         RsaPrivateKey* out);
+
 /// \brief Protocol 6 parameters.
 struct Protocol6Config {
   double obfuscation_factor = 2.0;  ///< The c > 1 of step 1.

@@ -15,7 +15,9 @@
 #include "bigint/biguint.h"
 #include "common/random.h"
 #include "common/serialize.h"
+#include "crypto/rsa.h"
 #include "mpc/link_influence_protocol.h"
+#include "mpc/propagation_protocol.h"
 #include "mpc/session.h"
 #include "mpc/wire.h"
 
@@ -260,6 +262,37 @@ TEST(FuzzTest, MutatedSessionStatesFailCleanlyOrRoundTrip) {
   }
   EXPECT_GT(accepted, 100u);
   EXPECT_GT(logs_checked, 100u);
+}
+
+TEST(FuzzTest, MutatedRsaKeyCheckpointsFailCleanlyOrDecrypt) {
+  // H's checkpointed private key: a mutant either fails to load with
+  // SerializationError or is a key RsaDecrypt can run on (it may decrypt
+  // to garbage; it must not abort).
+  Rng rng(0x45a1);
+  std::vector<std::vector<uint8_t>> corpus;
+  for (size_t bits : {256u, 512u, 256u, 512u}) {
+    corpus.push_back(
+        PackRsaPrivateKey(RsaGenerateKeyPair(&rng, bits).ValueOrDie().private_key));
+  }
+  size_t accepted = 0;
+  for (size_t mutant = 0; mutant < 3000; ++mutant) {
+    const std::vector<uint8_t> buf = Mutate(&rng, corpus);
+    RsaPrivateKey key;
+    const Status loaded = UnpackRsaPrivateKey(buf, &key);
+    if (!loaded.ok()) {
+      ASSERT_EQ(loaded.code(), StatusCode::kSerializationError)
+          << "mutant " << mutant;
+      continue;
+    }
+    ++accepted;
+    for (const BigUInt& c : {BigUInt(0), BigUInt(1), key.n - BigUInt(1)}) {
+      ASSERT_TRUE(RsaDecrypt(key, c).ok()) << "mutant " << mutant;
+    }
+  }
+  // Flips in d and in low bits of the CRT exponents leave a loadable key;
+  // flips in n, p or q do not. Both outcomes must occur.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_LT(accepted, 2900u);
 }
 
 }  // namespace

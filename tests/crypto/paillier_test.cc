@@ -157,10 +157,17 @@ TEST_F(PaillierTest, CrtRejectsOversizedCiphertext) {
 
 TEST_F(PaillierTest, CrtRejectsNonCoprimeCiphertext) {
   // gcd(c, n) != 1 can never come out of a valid encryption; the classic
-  // path detects it via u != 1 (mod n), the CRT path via the gcd check.
+  // path detects it via u != 1 (mod n), the CRT path by testing whether p
+  // or q divides c.
   const BigUInt& p = key_pair_->private_key.p;
-  EXPECT_FALSE(PaillierDecryptCrt(key_pair_->private_key, p).ok());
-  EXPECT_FALSE(PaillierDecrypt(key_pair_->private_key, p).ok());
+  const BigUInt& q = key_pair_->private_key.q;
+  for (const BigUInt& c : {BigUInt(), p, q, p * BigUInt(2), q * BigUInt(3)}) {
+    EXPECT_EQ(PaillierDecryptCrt(key_pair_->private_key, c).status().code(),
+              StatusCode::kCryptoError)
+        << c.ToHexString();
+    EXPECT_FALSE(PaillierDecrypt(key_pair_->private_key, c).ok())
+        << c.ToHexString();
+  }
 }
 
 TEST_F(PaillierTest, CrtFallsBackWithoutCrtBlock) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bigint/modular.h"
 
 namespace psi {
@@ -57,6 +59,33 @@ TEST_F(RsaTest, EdgePlaintexts) {
 TEST_F(RsaTest, RejectsOversizedOperands) {
   EXPECT_FALSE(RsaEncrypt(key_pair_->public_key, key_pair_->public_key.n).ok());
   EXPECT_FALSE(RsaDecrypt(key_pair_->private_key, key_pair_->public_key.n).ok());
+}
+
+TEST(RsaDecryptTest, MatchesHeapPathAcrossKeySizes) {
+  // 512- and 1024-bit keys have 4- and 8-limb CRT halves, which run on the
+  // fixed-width engine. The 192- and 320-bit halves of 384- and 640-bit
+  // keys match no engine width and keep the heap Montgomery path; the
+  // 64-bit halves of a 128-bit key take ModPow's plain loop. Every result
+  // must equal the heap path's and the non-CRT c^d mod n.
+  Rng rng(102);
+  for (size_t bits : {128u, 384u, 512u, 640u, 1024u}) {
+    const RsaPrivateKey key = RsaGenerateKeyPair(&rng, bits)
+                                  .ValueOrDie()
+                                  .private_key;
+    std::vector<BigUInt> ciphertexts{BigUInt(0), BigUInt(1), key.p, key.q,
+                                     key.n - BigUInt(1)};
+    for (int i = 0; i < 4; ++i) {
+      ciphertexts.push_back(BigUInt::RandomBelow(&rng, key.n));
+    }
+    for (const BigUInt& c : ciphertexts) {
+      const BigUInt fast = RsaDecrypt(key, c).ValueOrDie();
+      ScopedHeapOnlyModPow heap_only;
+      EXPECT_EQ(fast, RsaDecrypt(key, c).ValueOrDie())
+          << bits << "-bit key, c = " << c.ToHexString();
+      EXPECT_EQ(fast, ModPow(c, key.d, key.n))
+          << bits << "-bit key, c = " << c.ToHexString();
+    }
+  }
 }
 
 TEST_F(RsaTest, MultiplicativeHomomorphism) {

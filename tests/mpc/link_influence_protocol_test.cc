@@ -7,7 +7,9 @@
 
 #include "actionlog/generator.h"
 #include "actionlog/partition.h"
+#include "common/serialize.h"
 #include "graph/generators.h"
+#include "mpc/wire.h"
 #include "transcript_digest.h"
 
 namespace psi {
@@ -87,6 +89,37 @@ TEST(Protocol4Test, SessionTranscriptMatchesPinnedDigest) {
   fnv.AddU64(f.net.digest());
   for (double p : secure.p) fnv.AddU64(std::bit_cast<uint64_t>(p));
   EXPECT_EQ(fnv.value(), 0x40acd8fdfb49d1f3ull) << std::hex << fnv.value();
+}
+
+TEST(Protocol4Test, CountersProgramRejectsUserCountsOutsideNodeIdRange) {
+  // A shipped exec.cfg picks the counter vector's size. Sizes past the
+  // NodeId range, or short of omega's largest endpoint, must come back as
+  // a Status: psid runs this program, and an escaping std::length_error
+  // would end the daemon.
+  RegisterLinkInfluenceStagePrograms();
+  const std::vector<Arc> omega{{0, 1}, {1, 2}, {2, 0}};
+  const auto run = [&](uint64_t num_users) {
+    BinaryWriter cfg;
+    cfg.WriteU64(num_users);
+    cfg.WriteU64(/*h=*/3);
+    cfg.WriteU64(/*weight_scale=*/1);
+    cfg.WriteU8(/*has_weights=*/0);
+    SessionState st;
+    st.Put("exec.cfg", cfg.TakeBuffer());
+    st.Put("omega", wire::PackArcs(omega));
+    st.Put("exec.log", PackRecords({{0, 0, 1}, {1, 0, 2}, {2, 1, 3}}));
+    StageProgramContext ctx;
+    ctx.state = &st;
+    return StageProgramRegistry::Global().Run("p4/counters", &ctx);
+  };
+  for (uint64_t bad : {uint64_t{1} << 61, (uint64_t{1} << 32) + 1, uint64_t{2},
+                       uint64_t{0}}) {
+    Status s;
+    EXPECT_NO_THROW(s = run(bad)) << bad;
+    EXPECT_EQ(s.code(), StatusCode::kSerializationError) << bad;
+  }
+  EXPECT_TRUE(run(3).ok());
+  EXPECT_TRUE(run(40).ok());
 }
 
 TEST(Protocol4Test, CommunicationMatchesTable1Totals) {

@@ -8,12 +8,14 @@
 #include "actionlog/partition.h"
 #include "graph/generators.h"
 #include "influence/user_score.h"
+#include "transcript_digest.h"
 
 namespace psi {
 namespace {
 
-struct P6Fixture {
-  P6Fixture(size_t num_providers, uint64_t seed = 13) : rng(seed) {
+template <typename Net = Network>
+struct BasicP6Fixture {
+  BasicP6Fixture(size_t num_providers, uint64_t seed = 13) : rng(seed) {
     graph = std::make_unique<SocialGraph>(
         ErdosRenyiArcs(&rng, 30, 140).ValueOrDie());
     auto truth = GroundTruthInfluence::Uniform(*graph, 0.5);
@@ -40,12 +42,14 @@ struct P6Fixture {
   std::unique_ptr<SocialGraph> graph;
   ActionLog log;
   std::vector<ActionLog> provider_logs;
-  Network net;
+  Net net;
   PartyId host;
   std::vector<PartyId> providers;
   std::vector<std::unique_ptr<Rng>> rngs;
   std::unique_ptr<Rng> host_rng;
 };
+
+using P6Fixture = BasicP6Fixture<>;
 
 Protocol6Config SmallRsaConfig(
     Protocol6Config::EncryptionMode mode =
@@ -111,6 +115,72 @@ TEST(Protocol6Test, PackedModeReconstructsAllPropagationGraphs) {
                        f.RngPtrs())
                  .ValueOrDie();
   ExpectGraphsMatchPlaintext(out, *f.graph, f.log, 25);
+}
+
+TEST(Protocol6Test, SessionTranscriptMatchesPinnedDigest) {
+  // One whole simulator session per RSA mode: every transmitted frame plus
+  // every reconstructed arc, against digests recorded from an earlier
+  // build. H's decryptions feed the graphs, so a wrong RSA-CRT result moves
+  // the digest even where the wire bytes (provider-side encryptions) do not.
+  const struct {
+    Protocol6Config::EncryptionMode mode;
+    uint64_t digest;
+  } kCases[] = {
+      {Protocol6Config::EncryptionMode::kPerInteger, 0x76875a495f03cf9aull},
+      {Protocol6Config::EncryptionMode::kPackedInteger, 0x9e0ad5aab58caeacull},
+  };
+  for (const auto& c : kCases) {
+    BasicP6Fixture<DigestNetwork> f(2);
+    Protocol6Config cfg = SmallRsaConfig(c.mode);
+    cfg.obfuscation_factor = 1.5;
+    PropagationGraphProtocol proto(&f.net, f.host, f.providers, cfg);
+    auto out = proto.Run(*f.graph, 25, f.provider_logs, f.host_rng.get(),
+                         f.RngPtrs())
+                   .ValueOrDie();
+    Fnv1a fnv;
+    fnv.AddU64(f.net.digest());
+    for (const auto& pg : out.graphs) {
+      for (NodeId v = 0; v < f.graph->num_nodes(); ++v) {
+        for (const auto& arc : pg.OutArcs(v)) {
+          fnv.AddU64(v);
+          fnv.AddU64(arc.to);
+          fnv.AddU64(arc.delta_t);
+        }
+      }
+    }
+    EXPECT_EQ(fnv.value(), c.digest) << std::hex << fnv.value();
+  }
+}
+
+TEST(Protocol6Test, DamagedRsaKeyCheckpointIsSerializationError) {
+  Rng rng(31);
+  const RsaPrivateKey good =
+      RsaGenerateKeyPair(&rng, 512).ValueOrDie().private_key;
+  RsaPrivateKey loaded;
+  ASSERT_TRUE(UnpackRsaPrivateKey(PackRsaPrivateKey(good), &loaded).ok());
+  EXPECT_EQ(loaded.q_inv_p, good.q_inv_p);
+  const struct {
+    const char* what;
+    void (*damage)(RsaPrivateKey*);
+  } kDamages[] = {
+      {"p = 0", [](RsaPrivateKey* k) { k->p = BigUInt(); }},
+      {"q = 1", [](RsaPrivateKey* k) { k->q = BigUInt(1); }},
+      {"even p", [](RsaPrivateKey* k) { k->p = k->p + BigUInt(1); }},
+      {"p*q != n", [](RsaPrivateKey* k) { k->n = k->n + BigUInt(2); }},
+      {"d = 0", [](RsaPrivateKey* k) { k->d = BigUInt(); }},
+      {"d_mod_p1 = p-1",
+       [](RsaPrivateKey* k) { k->d_mod_p1 = k->p - BigUInt(1); }},
+      {"d_mod_q1 = q-1",
+       [](RsaPrivateKey* k) { k->d_mod_q1 = k->q - BigUInt(1); }},
+      {"q_inv_p = p", [](RsaPrivateKey* k) { k->q_inv_p = k->p; }},
+  };
+  for (const auto& d : kDamages) {
+    RsaPrivateKey bad = good;
+    d.damage(&bad);
+    EXPECT_EQ(UnpackRsaPrivateKey(PackRsaPrivateKey(bad), &loaded).code(),
+              StatusCode::kSerializationError)
+        << d.what;
+  }
 }
 
 TEST(Protocol6Test, PackedModeShrinksPerIntegerTraffic) {

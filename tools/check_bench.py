@@ -339,20 +339,21 @@ DIST = [
 ]
 
 # --- bigint: bench_bigint, fixed-width engine vs the heap path. -------------
-def heap_speedup(engine, heap):
-    return Field(heap, "cpu_time") / Field(engine, "cpu_time")
-
-
+# Each *Paired row times engine and heap calls back to back and reports the
+# median of the per-pair ratios as heap_speedup. The ratio of two separate
+# rows' cpu_time, recorded seconds apart, swung from 1.16x to 3.12x across
+# runs of one binary on a shared host.
 BIGINT = [
     check
-    for engine, heap in (
-        ("BM_MontgomeryPow/1024", "BM_MontgomeryPowHeap/1024"),
-        ("BM_PaillierDecryptCrt/1024", "BM_PaillierDecryptCrtHeap/1024"),
+    for row in (
+        "BM_MontgomeryPowPaired/1024",
+        "BM_PaillierDecryptCrtPaired/1024",
+        "BM_RsaDecryptPaired/512",
     )
     for check in (
-        at_least(heap_speedup(engine, heap), 2.0,
+        at_least(Field(row, "heap_speedup"), 2.0,
                  "the engine is at least 2x faster than the heap path"),
-        floor(heap_speedup(engine, heap)),
+        floor(Field(row, "heap_speedup")),
     )
 ]
 
