@@ -11,14 +11,6 @@
 
 namespace psi {
 
-namespace {
-
-uint64_t PairKey(NodeId i, NodeId j) {
-  return (static_cast<uint64_t>(i) << 32) | j;
-}
-
-}  // namespace
-
 namespace internal {
 
 std::vector<uint8_t> PackCounters(const internal::ObfuscatedCounters& counters,

@@ -4,25 +4,19 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/annotations.h"
 #include "common/serialize.h"
-#include "common/thread_pool.h"
 #include "graph/generators.h"
 #include "mpc/homomorphic_sum.h"
-#include "mpc/joint_random.h"
 #include "mpc/wire.h"
 
 namespace psi {
 
 namespace {
-
-uint64_t PairKey(NodeId i, NodeId j) {
-  return (static_cast<uint64_t>(i) << 32) | j;
-}
 
 // Step tags for ProtocolId::kLinkInfluence frames.
 constexpr uint16_t kStepOmega = 2;          // H -> P_k: Omega_E'.
@@ -295,12 +289,7 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
                                             ProtocolId::kLinkInfluence,
                                             kStepOmega));
       std::vector<Arc> provider_omega;
-      PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &provider_omega));
-      for (const Arc& a : provider_omega) {
-        if (a.from >= n || a.to >= n) {
-          return Status::ProtocolError("Omega_E' arc endpoint out of range");
-        }
-      }
+      PSI_RETURN_NOT_OK(wire::UnpackArcSet(buf, n, &provider_omega));
       session.PartyState(providers_[k]).Put(kKeyOmega, std::move(buf));
     }
     return Status::OK();
@@ -421,29 +410,12 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
 
   // ---- Steps 5-6: joint per-user masks M_i ~ Z and r_i ~ U(0, M_i). ----
   session.AddStage("masks", [&, this]() -> Status {
-    PSI_ASSIGN_OR_RETURN(
-        auto u_m, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                    provider_rngs[0], provider_rngs[1],
-                                    "P4.Step5 (joint M_i)"));
-    std::vector<double> m_values = ToZDistribution(u_m);
-    PSI_ASSIGN_OR_RETURN(
-        auto u_r, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                    provider_rngs[0], provider_rngs[1],
-                                    "P4.Step6 (joint r_i)"));
-    PSI_ASSIGN_OR_RETURN(auto r_values, ToUniformBelow(u_r, m_values));
-
-    // Fixed-point masks R_i = floor(r_i * 2^fraction_bits), never zero.
     PSI_SECRET std::vector<BigUInt> masks;
-    masks.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      PSI_ASSIGN_OR_RETURN(
-          masks[i],
-          BigUIntFromDouble(
-              std::ldexp(r_values[i],
-                         static_cast<int>(config_.fraction_bits))));
-      // psi-lint: allow(secret-flow) zero test only nudges the mask to 1 so the later division is defined; it leaks one bit with probability ~2^-fraction_bits
-      if (masks[i].IsZero()) masks[i] = BigUInt(1);
-    }
+    PSI_ASSIGN_OR_RETURN(
+        masks, DrawDivisionMasks(network_, providers_[0], providers_[1], n,
+                                 provider_rngs[0], provider_rngs[1],
+                                 "P4.Step5 (joint M_i)", "P4.Step6 (joint r_i)",
+                                 config_.fraction_bits));
     auto packed_masks = wire::PackBigUInts(masks);
     session.PartyState(providers_[0]).Put(kKeyMasks, packed_masks);
     session.PartyState(providers_[1]).Put(kKeyMasks, std::move(packed_masks));
@@ -458,8 +430,7 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
                            session.PartyState(providers_[0]).Get(kKeyOmega));
       PSI_RETURN_NOT_OK(wire::UnpackArcs(*buf, &omega));
     }
-    const size_t q = omega.size();
-    const size_t total = n + q;
+    const size_t total = n + omega.size();
     PSI_SECRET std::vector<BigUInt> masks;
     {
       PSI_ASSIGN_OR_RETURN(const SessionBlob buf,
@@ -478,32 +449,17 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
                            session.PartyState(providers_[1]).Get(kKeyShare2));
       PSI_RETURN_NOT_OK(wire::UnpackBigInts(*buf, &s2));
     }
-    if (masks.size() != n || s1.size() != total || s2.size() != total) {
-      return Status::Internal("checkpointed stage state has wrong geometry");
-    }
-
-    // The user governing counter c: i for a_i (c < n), arc source for pairs.
-    auto mask_of_counter = [&](size_t c) -> const BigUInt& {
-      return c < n ? masks[c] : masks[omega[c - n].from];
-    };
-
-    // Pure big-integer products over already-drawn masks: the per-link loop
-    // fans out with no effect on the transcript.
-    std::vector<BigUInt> masked1(total);
-    std::vector<BigInt> masked2(total);
-    ParallelFor(total, [&](size_t c) {
-      masked1[c] = mask_of_counter(c) * s1[c];
-      masked2[c] = BigInt(mask_of_counter(c)) * s2[c];
-    });
+    PSI_ASSIGN_OR_RETURN(const MaskedShares masked,
+                         MaskShares(MaskOwners(n, omega), s1, s2, masks));
     network_->BeginRound("P4.Steps7-8 (masked shares -> H)");
     PSI_RETURN_NOT_OK(network_->SendFramed(providers_[0], host_,
                                            ProtocolId::kLinkInfluence,
                                            kStepMaskedShares,
-                                           wire::PackBigUInts(masked1)));
+                                           wire::PackBigUInts(masked.m1)));
     PSI_RETURN_NOT_OK(network_->SendFramed(providers_[1], host_,
                                            ProtocolId::kLinkInfluence,
                                            kStepMaskedShares,
-                                           wire::PackBigInts(masked2)));
+                                           wire::PackBigInts(masked.m2)));
     PSI_ASSIGN_OR_RETURN(
         auto buf1, network_->RecvValidated(host_, providers_[0],
                                            ProtocolId::kLinkInfluence,
@@ -536,7 +492,6 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
       PSI_RETURN_NOT_OK(wire::UnpackArcs(*buf, &omega));
     }
     const size_t q = omega.size();
-    const size_t total = n + q;
     std::vector<BigUInt> host_m1;
     std::vector<BigInt> host_m2;
     {
@@ -549,61 +504,31 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
                            session.PartyState(host_).Get(kKeyMasked2));
       PSI_RETURN_NOT_OK(wire::UnpackBigInts(*buf, &host_m2));
     }
-    if (host_m1.size() != total || host_m2.size() != total) {
-      return Status::ProtocolError("masked share vectors have wrong length");
-    }
 
     // Recombined masked counters: R_i * a_i and R_i * numerator_ij, exact.
-    std::vector<BigUInt> masked_a(n), masked_b(q);
-    PSI_RETURN_NOT_OK(ParallelForStatus(total, [&](size_t c) -> Status {
-      BigInt value = BigInt(host_m1[c]) + host_m2[c];
-      if (value.IsNegative()) {
-        return Status::ProtocolError("negative recombined masked counter");
-      }
-      if (c < n) {
-        masked_a[c] = value.magnitude();
-      } else {
-        masked_b[c - n] = value.magnitude();
-      }
-      return Status::OK();
-    }));
+    PSI_ASSIGN_OR_RETURN(const std::vector<BigUInt> masked,
+                         RecombineMaskedShares(host_m1, host_m2, n + q));
+    const std::span<const BigUInt> masked_a(masked.data(), n);
+    const std::span<const BigUInt> masked_b(masked.data() + n, q);
+    // What H "sees" as real numbers: r_i * a_i and r_i * numerator_ij
+    // (descaled fixed point).
+    const int shift = -static_cast<int>(config_.fraction_bits);
     views_.host_masked_a.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      // What H "sees" as a real number: r_i * a_i (descaled fixed point).
-      views_.host_masked_a[i] = std::ldexp(
-          masked_a[i].ToDouble(), -static_cast<int>(config_.fraction_bits));
+      views_.host_masked_a[i] = std::ldexp(masked_a[i].ToDouble(), shift);
     }
     views_.host_masked_b.resize(q);
     for (size_t p = 0; p < q; ++p) {
-      views_.host_masked_b[p] = std::ldexp(
-          masked_b[p].ToDouble(), -static_cast<int>(config_.fraction_bits));
+      views_.host_masked_b[p] = std::ldexp(masked_b[p].ToDouble(), shift);
     }
 
     // H evaluates quotients only for the genuine arcs of E.
-    std::unordered_map<uint64_t, size_t> omega_index;
-    omega_index.reserve(q);
-    for (size_t p = 0; p < q; ++p) {
-      omega_index.emplace(PairKey(omega[p].from, omega[p].to), p);
-    }
-
     out.pairs = host_graph.arcs();
-    out.p.resize(out.pairs.size());
     const double descale = config_.weights.has_value()
                                ? static_cast<double>(config_.weight_scale)
                                : 1.0;
-    for (size_t e = 0; e < out.pairs.size(); ++e) {
-      const Arc& arc = out.pairs[e];
-      auto it = omega_index.find(PairKey(arc.from, arc.to));
-      if (it == omega_index.end()) {
-        return Status::ProtocolError("arc of E missing from Omega_E'");
-      }
-      const BigUInt& denom = masked_a[arc.from];
-      if (denom.IsZero()) {
-        out.p[e] = 0.0;
-      } else {
-        out.p[e] = DivideToDouble(masked_b[it->second], denom) / descale;
-      }
-    }
+    PSI_ASSIGN_OR_RETURN(
+        out.p, ArcQuotients(out.pairs, omega, masked_a, masked_b, descale));
     return Status::OK();
   });
 

@@ -10,8 +10,8 @@
 //      secret permutation shared by P1/P2.                       [4 rounds]
 //   3. P1 and P2 jointly draw per-user masks M_i ~ Z, r_i ~ U(0, M_i)
 //      and send H the r_i-scaled shares; H recombines and divides,
-//      learning exactly the quotients (a Protocol 3 variant where the mask
-//      multiplies the *shares*).                                 [3 rounds]
+//      learning exactly the quotients (the share-masked Protocol 3 of
+//      mpc/secure_division.h).                                   [3 rounds]
 //
 // The Eq. (2) temporally-weighted definition is supported by swapping the
 // b-counters for fixed-point weighted sums sum_l W_l c^l_ij (the only change
@@ -34,6 +34,7 @@
 #include "common/status.h"
 #include "graph/graph.h"
 #include "influence/link_influence.h"
+#include "mpc/secure_division.h"
 #include "mpc/secure_sum.h"
 #include "mpc/session.h"
 #include "net/network.h"
@@ -52,7 +53,7 @@ void RegisterLinkInfluenceStagePrograms();
 struct AggregatedClassCounters {
   /// a_i[A_q]: class actions performed by user i (any provider in the group).
   std::vector<uint64_t> a;
-  /// c^l counters keyed by (i << 32 | j): value[l-1] is the exact-delay-l
+  /// c^l counters keyed by PairKey(i, j): value[l-1] is the exact-delay-l
   /// follow count. b^h is the prefix sum over l.
   std::unordered_map<uint64_t, std::vector<uint64_t>> c_by_delay;
 

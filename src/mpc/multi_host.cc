@@ -1,24 +1,15 @@
 #include "mpc/multi_host.h"
 
-#include <cmath>
-#include <unordered_map>
+#include <span>
 
 #include "common/annotations.h"
 #include "common/serialize.h"
 #include "graph/generators.h"
-#include "mpc/joint_random.h"
+#include "mpc/secure_division.h"
 #include "mpc/secure_sum.h"
 #include "mpc/wire.h"
 
 namespace psi {
-
-namespace {
-
-uint64_t PairKey(NodeId i, NodeId j) {
-  return (static_cast<uint64_t>(i) << 32) | j;
-}
-
-}  // namespace
 
 MultiHostLinkInfluenceProtocol::MultiHostLinkInfluenceProtocol(
     Network* network, std::vector<PartyId> hosts,
@@ -79,14 +70,16 @@ Result<std::vector<LinkInfluence>> MultiHostLinkInfluenceProtocol::RunImpl(
   std::vector<Arc> all_pairs;
   std::vector<size_t> range_start(r + 1, 0);
   {
-    // Every provider receives identical content; decode from provider 0's
-    // copy and drain the rest.
+    // Every provider receives identical content and validates its copy;
+    // provider 0's copy supplies the pair list.
     for (size_t h = 0; h < r; ++h) {
       std::vector<Arc> decoded;
       for (size_t k = 0; k < m; ++k) {
         PSI_ASSIGN_OR_RETURN(auto buf,
                              network_->Recv(providers_[k], hosts_[h]));
-        if (k == 0) PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &decoded));
+        std::vector<Arc> copy;
+        PSI_RETURN_NOT_OK(wire::UnpackArcSet(buf, n, &copy));
+        if (k == 0) decoded = std::move(copy);
       }
       range_start[h] = all_pairs.size();
       all_pairs.insert(all_pairs.end(), decoded.begin(), decoded.end());
@@ -121,125 +114,64 @@ Result<std::vector<LinkInfluence>> MultiHostLinkInfluenceProtocol::RunImpl(
       secure_sum.RunProtocol2(inputs, provider_rngs, pair_secret_rng, "MH."));
 
   // ---- Step 3: joint per-user masks, drawn once for all hosts. ----
-  PSI_ASSIGN_OR_RETURN(
-      auto u_m, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                  provider_rngs[0], provider_rngs[1],
-                                  "MH.Step5 (joint M_i)"));
-  std::vector<double> m_values = ToZDistribution(u_m);
-  PSI_ASSIGN_OR_RETURN(
-      auto u_r, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                  provider_rngs[0], provider_rngs[1],
-                                  "MH.Step6 (joint r_i)"));
-  PSI_ASSIGN_OR_RETURN(auto r_values, ToUniformBelow(u_r, m_values));
   PSI_SECRET std::vector<BigUInt> masks;
-  masks.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    PSI_ASSIGN_OR_RETURN(
-        masks[i],
-        BigUIntFromDouble(std::ldexp(r_values[i],
-                                     static_cast<int>(config_.fraction_bits))));
-    // psi-lint: allow(secret-flow) zero test only nudges the mask to 1 so the later division is defined; it leaks one bit with probability ~2^-fraction_bits
-    if (masks[i].IsZero()) masks[i] = BigUInt(1);
-  }
-  auto mask_of_counter = [&](size_t c) -> const BigUInt& {
-    return c < n ? masks[c] : masks[all_pairs[c - n].from];
-  };
+  PSI_ASSIGN_OR_RETURN(
+      masks, DrawDivisionMasks(network_, providers_[0], providers_[1], n,
+                               provider_rngs[0], provider_rngs[1],
+                               "MH.Step5 (joint M_i)", "MH.Step6 (joint r_i)",
+                               config_.fraction_bits));
 
   // ---- Step 4: each host receives masked a-shares + its own b-slice. ----
   network_->BeginRound("MH.Steps7-8 (masked slices -> hosts)");
-  const size_t total = n + q_total;
-  std::vector<BigUInt> masked1(total);
-  std::vector<BigInt> masked2(total);
-  for (size_t c = 0; c < total; ++c) {
-    masked1[c] = mask_of_counter(c) * shares.s1[c];
-    masked2[c] = BigInt(mask_of_counter(c)) * shares.s2[c];
-  }
+  PSI_ASSIGN_OR_RETURN(
+      const MaskedShares masked,
+      MaskShares(MaskOwners(n, all_pairs), shares.s1, shares.s2, masks));
+  const std::span<const BigUInt> m1(masked.m1);
+  const std::span<const BigInt> m2(masked.m2);
+  auto concat = [](std::vector<uint8_t> a, const std::vector<uint8_t>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
   for (size_t h = 0; h < r; ++h) {
-    BinaryWriter w1, w2;
-    w1.WriteVarU64(n);
-    w2.WriteVarU64(n);
-    for (size_t i = 0; i < n; ++i) {
-      WriteBigUInt(&w1, masked1[i]);
-      WriteBigInt(&w2, masked2[i]);
-    }
-    size_t lo = n + range_start[h], hi = n + range_start[h + 1];
-    w1.WriteVarU64(hi - lo);
-    w2.WriteVarU64(hi - lo);
-    for (size_t c = lo; c < hi; ++c) {
-      WriteBigUInt(&w1, masked1[c]);
-      WriteBigInt(&w2, masked2[c]);
-    }
-    PSI_RETURN_NOT_OK(network_->Send(providers_[0], hosts_[h], w1.TakeBuffer()));
-    PSI_RETURN_NOT_OK(network_->Send(providers_[1], hosts_[h], w2.TakeBuffer()));
+    const size_t lo = n + range_start[h];
+    const size_t q_h = range_start[h + 1] - range_start[h];
+    PSI_RETURN_NOT_OK(network_->Send(
+        providers_[0], hosts_[h],
+        concat(wire::PackBigUInts(m1.first(n)),
+               wire::PackBigUInts(m1.subspan(lo, q_h)))));
+    PSI_RETURN_NOT_OK(network_->Send(
+        providers_[1], hosts_[h],
+        concat(wire::PackBigInts(m2.first(n)),
+               wire::PackBigInts(m2.subspan(lo, q_h)))));
   }
 
   // ---- Step 5 (local at each host): recombine and divide. ----
+  const double descale = config_.weights.has_value()
+                             ? static_cast<double>(config_.weight_scale)
+                             : 1.0;
   std::vector<LinkInfluence> out(r);
   for (size_t h = 0; h < r; ++h) {
     PSI_ASSIGN_OR_RETURN(auto buf1, network_->Recv(hosts_[h], providers_[0]));
     PSI_ASSIGN_OR_RETURN(auto buf2, network_->Recv(hosts_[h], providers_[1]));
     BinaryReader r1(buf1), r2(buf2);
-    uint64_t count_a1, count_a2;
-    PSI_RETURN_NOT_OK(r1.ReadVarU64(&count_a1));
-    PSI_RETURN_NOT_OK(r2.ReadVarU64(&count_a2));
-    if (count_a1 != n || count_a2 != n) {
-      return Status::ProtocolError("masked a-vector length mismatch");
+    std::vector<BigUInt> a1, b1;
+    std::vector<BigInt> a2, b2;
+    PSI_RETURN_NOT_OK(wire::UnpackBigUInts(&r1, &a1));
+    PSI_RETURN_NOT_OK(wire::UnpackBigUInts(&r1, &b1));
+    PSI_RETURN_NOT_OK(wire::UnpackBigInts(&r2, &a2));
+    PSI_RETURN_NOT_OK(wire::UnpackBigInts(&r2, &b2));
+    if (!r1.AtEnd() || !r2.AtEnd()) {
+      return Status::ProtocolError("trailing bytes after masked slices");
     }
-    std::vector<BigUInt> masked_a(n);
-    for (size_t i = 0; i < n; ++i) {
-      BigUInt v1;
-      BigInt v2;
-      PSI_RETURN_NOT_OK(ReadBigUInt(&r1, &v1));
-      PSI_RETURN_NOT_OK(ReadBigInt(&r2, &v2));
-      BigInt value = BigInt(v1) + v2;
-      if (value.IsNegative()) {
-        return Status::ProtocolError("negative recombined counter");
-      }
-      masked_a[i] = value.magnitude();
-    }
-    uint64_t count_b1, count_b2;
-    PSI_RETURN_NOT_OK(r1.ReadVarU64(&count_b1));
-    PSI_RETURN_NOT_OK(r2.ReadVarU64(&count_b2));
-    size_t q_h = range_start[h + 1] - range_start[h];
-    if (count_b1 != q_h || count_b2 != q_h) {
-      return Status::ProtocolError("masked b-slice length mismatch");
-    }
-    std::vector<BigUInt> masked_b(q_h);
-    for (size_t p = 0; p < q_h; ++p) {
-      BigUInt v1;
-      BigInt v2;
-      PSI_RETURN_NOT_OK(ReadBigUInt(&r1, &v1));
-      PSI_RETURN_NOT_OK(ReadBigInt(&r2, &v2));
-      BigInt value = BigInt(v1) + v2;
-      if (value.IsNegative()) {
-        return Status::ProtocolError("negative recombined counter");
-      }
-      masked_b[p] = value.magnitude();
-    }
+    PSI_ASSIGN_OR_RETURN(const std::vector<BigUInt> masked_a,
+                         RecombineMaskedShares(a1, a2, n));
+    PSI_ASSIGN_OR_RETURN(
+        const std::vector<BigUInt> masked_b,
+        RecombineMaskedShares(b1, b2, range_start[h + 1] - range_start[h]));
     // Quotients for this host's genuine arcs.
-    std::unordered_map<uint64_t, size_t> omega_index;
-    omega_index.reserve(q_h);
-    for (size_t p = 0; p < q_h; ++p) {
-      const Arc& a = omegas[h][p];
-      omega_index.emplace(PairKey(a.from, a.to), p);
-    }
     out[h].pairs = host_graphs[h]->arcs();
-    out[h].p.resize(out[h].pairs.size());
-    const double descale = config_.weights.has_value()
-                               ? static_cast<double>(config_.weight_scale)
-                               : 1.0;
-    for (size_t e = 0; e < out[h].pairs.size(); ++e) {
-      const Arc& arc = out[h].pairs[e];
-      auto it = omega_index.find(PairKey(arc.from, arc.to));
-      if (it == omega_index.end()) {
-        return Status::ProtocolError("arc missing from host's Omega");
-      }
-      const BigUInt& denom = masked_a[arc.from];
-      out[h].p[e] =
-          denom.IsZero()
-              ? 0.0
-              : DivideToDouble(masked_b[it->second], denom) / descale;
-    }
+    PSI_ASSIGN_OR_RETURN(out[h].p, ArcQuotients(out[h].pairs, omegas[h],
+                                                masked_a, masked_b, descale));
   }
   return out;
 }

@@ -1,11 +1,13 @@
 #include "mpc/perfect_hiding.h"
 
-#include <cmath>
+#include <span>
 
+#include "common/annotations.h"
 #include "common/serialize.h"
 #include "crypto/oblivious_transfer.h"
-#include "mpc/joint_random.h"
+#include "mpc/secure_division.h"
 #include "mpc/secure_sum.h"
+#include "mpc/wire.h"
 
 namespace psi {
 
@@ -81,80 +83,41 @@ Result<LinkInfluence> PerfectHidingLinkInfluenceProtocol::RunImpl(
       secure_sum.RunProtocol2(inputs, provider_rngs, pair_secret_rng, "PH."));
 
   // ---- Joint per-user masks. ----
+  PSI_SECRET std::vector<BigUInt> masks;
   PSI_ASSIGN_OR_RETURN(
-      auto u_m, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                  provider_rngs[0], provider_rngs[1],
-                                  "PH.Step5 (joint M_i)"));
-  std::vector<double> m_values = ToZDistribution(u_m);
+      masks, DrawDivisionMasks(network_, providers_[0], providers_[1], n,
+                               provider_rngs[0], provider_rngs[1],
+                               "PH.Step5 (joint M_i)", "PH.Step6 (joint r_i)",
+                               config_.fraction_bits));
   PSI_ASSIGN_OR_RETURN(
-      auto u_r, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                  provider_rngs[0], provider_rngs[1],
-                                  "PH.Step6 (joint r_i)"));
-  PSI_ASSIGN_OR_RETURN(auto r_values, ToUniformBelow(u_r, m_values));
-  std::vector<BigUInt> masks(n);
-  for (size_t i = 0; i < n; ++i) {
-    PSI_ASSIGN_OR_RETURN(
-        masks[i],
-        BigUIntFromDouble(std::ldexp(r_values[i],
-                                     static_cast<int>(config_.fraction_bits))));
-    if (masks[i].IsZero()) masks[i] = BigUInt(1);
-  }
+      const MaskedShares masked,
+      MaskShares(MaskOwners(n, pairs), shares.s1, shares.s2, masks));
 
   // ---- Denominators travel openly (masked): they are per user, not per
   //      arc, so they reveal nothing about E. ----
   network_->BeginRound("PH.Steps7-8a (masked a shares -> H)");
-  {
-    BinaryWriter w1, w2;
-    w1.WriteVarU64(n);
-    w2.WriteVarU64(n);
-    for (size_t i = 0; i < n; ++i) {
-      WriteBigUInt(&w1, masks[i] * shares.s1[i]);
-      WriteBigInt(&w2, BigInt(masks[i]) * shares.s2[i]);
-    }
-    PSI_RETURN_NOT_OK(network_->Send(providers_[0], host_, w1.TakeBuffer()));
-    PSI_RETURN_NOT_OK(network_->Send(providers_[1], host_, w2.TakeBuffer()));
-  }
+  PSI_RETURN_NOT_OK(network_->Send(
+      providers_[0], host_, wire::PackBigUInts(std::span(masked.m1).first(n))));
+  PSI_RETURN_NOT_OK(network_->Send(
+      providers_[1], host_, wire::PackBigInts(std::span(masked.m2).first(n))));
   PSI_ASSIGN_OR_RETURN(auto buf1, network_->Recv(host_, providers_[0]));
   PSI_ASSIGN_OR_RETURN(auto buf2, network_->Recv(host_, providers_[1]));
-  std::vector<BigUInt> masked_a(n);
-  {
-    BinaryReader r1(buf1), r2(buf2);
-    uint64_t c1, c2;
-    PSI_RETURN_NOT_OK(r1.ReadVarU64(&c1));
-    PSI_RETURN_NOT_OK(r2.ReadVarU64(&c2));
-    if (c1 != n || c2 != n) {
-      return Status::ProtocolError("masked a-vector length mismatch");
-    }
-    for (size_t i = 0; i < n; ++i) {
-      BigUInt v1;
-      BigInt v2;
-      PSI_RETURN_NOT_OK(ReadBigUInt(&r1, &v1));
-      PSI_RETURN_NOT_OK(ReadBigInt(&r2, &v2));
-      BigInt value = BigInt(v1) + v2;
-      if (value.IsNegative()) {
-        return Status::ProtocolError("negative recombined counter");
-      }
-      masked_a[i] = value.magnitude();
-    }
-  }
+  std::vector<BigUInt> a1;
+  std::vector<BigInt> a2;
+  PSI_RETURN_NOT_OK(wire::UnpackBigUInts(buf1, &a1));
+  PSI_RETURN_NOT_OK(wire::UnpackBigInts(buf2, &a2));
+  PSI_ASSIGN_OR_RETURN(const std::vector<BigUInt> masked_a,
+                       RecombineMaskedShares(a1, a2, n));
 
   // ---- Numerators via |E|-out-of-(n^2-n) oblivious transfer. ----
   // Message vectors: the masked b-share of every ordered pair.
-  auto serialize_biguint = [](const BigUInt& v) {
-    BinaryWriter w;
-    WriteBigUInt(&w, v);
-    return w.TakeBuffer();
-  };
-  auto serialize_bigint = [](const BigInt& v) {
-    BinaryWriter w;
-    WriteBigInt(&w, v);
-    return w.TakeBuffer();
-  };
   std::vector<std::vector<uint8_t>> p1_messages(q), p2_messages(q);
   for (size_t p = 0; p < q; ++p) {
-    const BigUInt& mask = masks[pairs[p].from];
-    p1_messages[p] = serialize_biguint(mask * shares.s1[n + p]);
-    p2_messages[p] = serialize_bigint(BigInt(mask) * shares.s2[n + p]);
+    BinaryWriter w1, w2;
+    WriteBigUInt(&w1, masked.m1[n + p]);
+    WriteBigInt(&w2, masked.m2[n + p]);
+    p1_messages[p] = w1.TakeBuffer();
+    p2_messages[p] = w2.TakeBuffer();
   }
   std::vector<size_t> choices;
   choices.reserve(host_graph.num_arcs());
@@ -178,23 +141,21 @@ Result<LinkInfluence> PerfectHidingLinkInfluenceProtocol::RunImpl(
                             "PH.P2."));
 
   // ---- Recombine and divide, per arc. ----
+  const size_t num_arcs = host_graph.num_arcs();
+  std::vector<BigUInt> b1(num_arcs);
+  std::vector<BigInt> b2(num_arcs);
+  for (size_t e = 0; e < num_arcs; ++e) {
+    BinaryReader r1(from_p1[e]), r2(from_p2[e]);
+    PSI_RETURN_NOT_OK(ReadBigUInt(&r1, &b1[e]));
+    PSI_RETURN_NOT_OK(ReadBigInt(&r2, &b2[e]));
+  }
+  PSI_ASSIGN_OR_RETURN(const std::vector<BigUInt> masked_b,
+                       RecombineMaskedShares(b1, b2, num_arcs));
+  // The transferred numerators arrive in E's own order, so E indexes them.
   LinkInfluence out;
   out.pairs = host_graph.arcs();
-  out.p.resize(out.pairs.size());
-  for (size_t e = 0; e < out.pairs.size(); ++e) {
-    BinaryReader r1(from_p1[e]), r2(from_p2[e]);
-    BigUInt v1;
-    BigInt v2;
-    PSI_RETURN_NOT_OK(ReadBigUInt(&r1, &v1));
-    PSI_RETURN_NOT_OK(ReadBigInt(&r2, &v2));
-    BigInt numer = BigInt(v1) + v2;
-    if (numer.IsNegative()) {
-      return Status::ProtocolError("negative recombined numerator");
-    }
-    const BigUInt& denom = masked_a[out.pairs[e].from];
-    out.p[e] =
-        denom.IsZero() ? 0.0 : DivideToDouble(numer.magnitude(), denom);
-  }
+  PSI_ASSIGN_OR_RETURN(out.p, ArcQuotients(out.pairs, out.pairs, masked_a,
+                                           masked_b, /*descale=*/1.0));
   return out;
 }
 

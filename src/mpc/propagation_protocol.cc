@@ -407,12 +407,7 @@ Result<Protocol6Output> PropagationGraphProtocol::RunSession(
                                             ProtocolId::kPropagationGraph,
                                             kStepOmega));
       std::vector<Arc> provider_omega;
-      PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &provider_omega));
-      for (const Arc& a : provider_omega) {
-        if (a.from >= n || a.to >= n) {
-          return Status::ProtocolError("Omega_E' arc endpoint out of range");
-        }
-      }
+      PSI_RETURN_NOT_OK(wire::UnpackArcSet(buf, n, &provider_omega));
       session.PartyState(providers_[k]).Put(kKeyOmega, std::move(buf));
     }
     return Status::OK();

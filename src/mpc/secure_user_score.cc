@@ -1,18 +1,14 @@
 #include "mpc/secure_user_score.h"
 
-#include <cmath>
 #include <utility>
 
 #include "actionlog/counters.h"
+#include "common/annotations.h"
 #include "common/serialize.h"
-#include "mpc/joint_random.h"
+#include "mpc/secure_division.h"
 #include "mpc/wire.h"
 
 namespace psi {
-
-namespace {
-
-}  // namespace
 
 SecureUserScoreProtocol::SecureUserScoreProtocol(
     Network* network, PartyId host, std::vector<PartyId> providers,
@@ -67,44 +63,35 @@ Result<std::vector<double>> SecureUserScoreProtocol::RunImpl(
       secure_sum.RunProtocol2(inputs, provider_rngs, pair_secret_rng, "P6S."));
 
   // ---- Phase 3: masked reveal of a_i (division by the constant 1). ----
+  PSI_SECRET std::vector<BigUInt> masks;
   PSI_ASSIGN_OR_RETURN(
-      auto u_m, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                  provider_rngs[0], provider_rngs[1],
-                                  "P6S.Step5 (joint M_i)"));
-  std::vector<double> m_values = ToZDistribution(u_m);
-  PSI_ASSIGN_OR_RETURN(
-      auto u_r, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                  provider_rngs[0], provider_rngs[1],
-                                  "P6S.Step6 (joint r_i)"));
-  PSI_ASSIGN_OR_RETURN(auto r_values, ToUniformBelow(u_r, m_values));
+      masks, DrawDivisionMasks(network_, providers_[0], providers_[1], n,
+                               provider_rngs[0], provider_rngs[1],
+                               "P6S.Step5 (joint M_i)", "P6S.Step6 (joint r_i)",
+                               /*fraction_bits=*/64));
 
-  std::vector<BigUInt> masks(n);
-  for (size_t i = 0; i < n; ++i) {
-    PSI_ASSIGN_OR_RETURN(masks[i],
-                         BigUIntFromDouble(std::ldexp(r_values[i], 64)));
-    if (masks[i].IsZero()) masks[i] = BigUInt(1);
-  }
-
-  // P1 sends R_i * s1(a_i) and R_i * 1; P2 sends R_i * s2(a_i) (its share of
-  // the public constant is 0, which it need not transmit).
-  std::vector<BigUInt> masked1(n), masked_unit(n);
-  std::vector<BigInt> masked2(n);
-  for (size_t i = 0; i < n; ++i) {
-    masked1[i] = masks[i] * shares.s1[i];
-    masked_unit[i] = masks[i];
-    masked2[i] = BigInt(masks[i]) * shares.s2[i];
-  }
+  // P1 sends R_i * s1(a_i) and R_i * 1; P2 sends R_i * s2(a_i). The unit
+  // column is the masked sharing (1, 0) of the public constant; P2's zero
+  // share need not travel.
+  const std::vector<size_t> owners = MaskOwners(n, {});
+  PSI_ASSIGN_OR_RETURN(const MaskedShares masked,
+                       MaskShares(owners, shares.s1, shares.s2, masks));
+  PSI_ASSIGN_OR_RETURN(const MaskedShares unit,
+                       MaskShares(owners,
+                                  std::vector<BigUInt>(n, BigUInt(1)),
+                                  std::vector<BigInt>(n), masks));
   network_->BeginRound("P6S.Steps7-8 (masked a_i shares -> H)");
   {
     BinaryWriter w;
     w.WriteVarU64(n);
     for (size_t i = 0; i < n; ++i) {
-      WriteBigUInt(&w, masked1[i]);
-      WriteBigUInt(&w, masked_unit[i]);
+      WriteBigUInt(&w, masked.m1[i]);
+      WriteBigUInt(&w, unit.m1[i]);
     }
     PSI_RETURN_NOT_OK(network_->Send(providers_[0], host_, w.TakeBuffer()));
   }
-  PSI_RETURN_NOT_OK(network_->Send(providers_[1], host_, wire::PackBigInts(masked2)));
+  PSI_RETURN_NOT_OK(
+      network_->Send(providers_[1], host_, wire::PackBigInts(masked.m2)));
 
   // Host reconstructs a_i = (R*a_i) / (R*1) exactly.
   PSI_ASSIGN_OR_RETURN(auto buf1, network_->Recv(host_, providers_[0]));
@@ -122,19 +109,17 @@ Result<std::vector<double>> SecureUserScoreProtocol::RunImpl(
   }
   std::vector<BigInt> host_m2;
   PSI_RETURN_NOT_OK(wire::UnpackBigInts(buf2, &host_m2));
-  if (host_m2.size() != n) {
-    return Status::ProtocolError("masked vector length");
-  }
+  PSI_ASSIGN_OR_RETURN(const std::vector<BigUInt> masked_a,
+                       RecombineMaskedShares(host_m1, host_m2, n));
 
   revealed_a_.assign(n, 0);
   for (size_t i = 0; i < n; ++i) {
-    BigInt numer = BigInt(host_m1[i]) + host_m2[i];
-    if (numer.IsNegative() || host_unit[i].IsZero()) {
-      return Status::ProtocolError("invalid masked a_i recombination");
+    if (host_unit[i].IsZero()) {
+      return Status::ProtocolError("zero masked unit for a_i");
     }
-    // Exact: numer == R_i * a_i and host_unit == R_i.
+    // Exact: masked_a == R_i * a_i and host_unit == R_i.
     PSI_ASSIGN_OR_RETURN(revealed_a_[i],
-                         (numer.magnitude() / host_unit[i]).ToUint64());
+                         (masked_a[i] / host_unit[i]).ToUint64());
   }
 
   // ---- Phase 4 (local at H): Eq. (3) from the PGs and the a_i. ----

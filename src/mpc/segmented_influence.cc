@@ -1,24 +1,14 @@
 #include "mpc/segmented_influence.h"
 
-#include <cmath>
-#include <unordered_map>
+#include <span>
 
 #include "common/annotations.h"
-#include "common/serialize.h"
 #include "graph/generators.h"
-#include "mpc/joint_random.h"
+#include "mpc/secure_division.h"
 #include "mpc/secure_sum.h"
 #include "mpc/wire.h"
 
 namespace psi {
-
-namespace {
-
-uint64_t PairKey(NodeId i, NodeId j) {
-  return (static_cast<uint64_t>(i) << 32) | j;
-}
-
-}  // namespace
 
 SegmentedInfluenceProtocol::SegmentedInfluenceProtocol(
     Network* network, PartyId host, std::vector<PartyId> providers,
@@ -72,7 +62,7 @@ Result<SegmentedLinkInfluence> SegmentedInfluenceProtocol::RunImpl(
   std::vector<std::vector<Arc>> provider_omega(m);
   for (size_t k = 0; k < m; ++k) {
     PSI_ASSIGN_OR_RETURN(auto buf, network_->Recv(providers_[k], host_));
-    PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &provider_omega[k]));
+    PSI_RETURN_NOT_OK(wire::UnpackArcSet(buf, n, &provider_omega[k]));
   }
 
   // ---- Local: per-segment counter blocks. Layout:
@@ -112,104 +102,48 @@ Result<SegmentedLinkInfluence> SegmentedInfluenceProtocol::RunImpl(
       secure_sum.RunProtocol2(inputs, provider_rngs, pair_secret_rng, "SEG."));
 
   // ---- Per-(user, segment) masks. ----
-  PSI_ASSIGN_OR_RETURN(
-      auto u_m,
-      JointUniformBatch(network_, providers_[0], providers_[1], a_total,
-                        provider_rngs[0], provider_rngs[1],
-                        "SEG.Step5 (joint M_{i,g})"));
-  std::vector<double> m_values = ToZDistribution(u_m);
-  PSI_ASSIGN_OR_RETURN(
-      auto u_r,
-      JointUniformBatch(network_, providers_[0], providers_[1], a_total,
-                        provider_rngs[0], provider_rngs[1],
-                        "SEG.Step6 (joint r_{i,g})"));
-  PSI_ASSIGN_OR_RETURN(auto r_values, ToUniformBelow(u_r, m_values));
   PSI_SECRET std::vector<BigUInt> masks;
-  masks.resize(a_total);
-  for (size_t i = 0; i < a_total; ++i) {
-    PSI_ASSIGN_OR_RETURN(
-        masks[i],
-        BigUIntFromDouble(std::ldexp(r_values[i],
-                                     static_cast<int>(config_.fraction_bits))));
-    // psi-lint: allow(secret-flow) zero test only nudges the mask to 1 so the later division is defined; it leaks one bit with probability ~2^-fraction_bits
-    if (masks[i].IsZero()) masks[i] = BigUInt(1);
-  }
+  PSI_ASSIGN_OR_RETURN(
+      masks, DrawDivisionMasks(network_, providers_[0], providers_[1], a_total,
+                               provider_rngs[0], provider_rngs[1],
+                               "SEG.Step5 (joint M_{i,g})",
+                               "SEG.Step6 (joint r_{i,g})",
+                               config_.fraction_bits));
   // The mask governing counter c: block (g, i) for a-counters, block
   // (g, source user) for b-counters.
-  auto mask_of_counter = [&](size_t c) -> const BigUInt& {
-    if (c < a_total) return masks[c];
-    size_t rel = c - a_total;
-    size_t g = rel / q;
-    NodeId src = omega[rel % q].from;
-    return masks[g * n + src];
-  };
+  std::vector<size_t> owners = MaskOwners(a_total, {});
+  for (size_t g = 0; g < g_count; ++g) {
+    for (const Arc& a : omega) owners.push_back(g * n + a.from);
+  }
 
   // ---- Masked shares to H. ----
-  std::vector<BigUInt> masked1(total);
-  std::vector<BigInt> masked2(total);
-  for (size_t c = 0; c < total; ++c) {
-    masked1[c] = mask_of_counter(c) * shares.s1[c];
-    masked2[c] = BigInt(mask_of_counter(c)) * shares.s2[c];
-  }
+  PSI_ASSIGN_OR_RETURN(const MaskedShares masked,
+                       MaskShares(owners, shares.s1, shares.s2, masks));
   network_->BeginRound("SEG.Steps7-8 (masked shares -> H)");
-  {
-    BinaryWriter w1, w2;
-    w1.WriteVarU64(total);
-    w2.WriteVarU64(total);
-    for (size_t c = 0; c < total; ++c) {
-      WriteBigUInt(&w1, masked1[c]);
-      WriteBigInt(&w2, masked2[c]);
-    }
-    PSI_RETURN_NOT_OK(network_->Send(providers_[0], host_, w1.TakeBuffer()));
-    PSI_RETURN_NOT_OK(network_->Send(providers_[1], host_, w2.TakeBuffer()));
-  }
+  PSI_RETURN_NOT_OK(
+      network_->Send(providers_[0], host_, wire::PackBigUInts(masked.m1)));
+  PSI_RETURN_NOT_OK(
+      network_->Send(providers_[1], host_, wire::PackBigInts(masked.m2)));
 
   // ---- Host: recombine, divide per segment. ----
   PSI_ASSIGN_OR_RETURN(auto buf1, network_->Recv(host_, providers_[0]));
   PSI_ASSIGN_OR_RETURN(auto buf2, network_->Recv(host_, providers_[1]));
-  std::vector<BigUInt> recombined(total);
-  {
-    BinaryReader r1(buf1), r2(buf2);
-    uint64_t c1, c2;
-    PSI_RETURN_NOT_OK(r1.ReadVarU64(&c1));
-    PSI_RETURN_NOT_OK(r2.ReadVarU64(&c2));
-    if (c1 != total || c2 != total) {
-      return Status::ProtocolError("masked vector length mismatch");
-    }
-    for (size_t c = 0; c < total; ++c) {
-      BigUInt v1;
-      BigInt v2;
-      PSI_RETURN_NOT_OK(ReadBigUInt(&r1, &v1));
-      PSI_RETURN_NOT_OK(ReadBigInt(&r2, &v2));
-      BigInt value = BigInt(v1) + v2;
-      if (value.IsNegative()) {
-        return Status::ProtocolError("negative recombined counter");
-      }
-      recombined[c] = value.magnitude();
-    }
-  }
+  std::vector<BigUInt> host_m1;
+  std::vector<BigInt> host_m2;
+  PSI_RETURN_NOT_OK(wire::UnpackBigUInts(buf1, &host_m1));
+  PSI_RETURN_NOT_OK(wire::UnpackBigInts(buf2, &host_m2));
+  PSI_ASSIGN_OR_RETURN(const std::vector<BigUInt> recombined,
+                       RecombineMaskedShares(host_m1, host_m2, total));
+  const std::span<const BigUInt> all(recombined);
 
-  std::unordered_map<uint64_t, size_t> omega_index;
-  omega_index.reserve(q);
-  for (size_t p = 0; p < q; ++p) {
-    omega_index.emplace(PairKey(omega[p].from, omega[p].to), p);
-  }
   SegmentedLinkInfluence out;
   out.per_segment.resize(g_count);
   for (uint32_t g = 0; g < g_count; ++g) {
     auto& li = out.per_segment[g];
     li.pairs = host_graph.arcs();
-    li.p.resize(li.pairs.size());
-    for (size_t e = 0; e < li.pairs.size(); ++e) {
-      const Arc& arc = li.pairs[e];
-      auto it = omega_index.find(PairKey(arc.from, arc.to));
-      if (it == omega_index.end()) {
-        return Status::ProtocolError("arc of E missing from Omega");
-      }
-      const BigUInt& denom = recombined[g * n + arc.from];
-      const BigUInt& numer = recombined[a_total + g * q + it->second];
-      li.p[e] = denom.IsZero() ? 0.0 : DivideToDouble(numer, denom);
-    }
+    PSI_ASSIGN_OR_RETURN(
+        li.p, ArcQuotients(li.pairs, omega, all.subspan(g * n, n),
+                           all.subspan(a_total + g * q, q), /*descale=*/1.0));
   }
   return out;
 }

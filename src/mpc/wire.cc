@@ -28,39 +28,60 @@ Status UnpackArcs(const std::vector<uint8_t>& buf, std::vector<Arc>* out) {
   return Status::OK();
 }
 
-std::vector<uint8_t> PackBigUInts(const std::vector<BigUInt>& v) {
+Status UnpackArcSet(const std::vector<uint8_t>& buf, size_t num_nodes,
+                    std::vector<Arc>* out) {
+  PSI_RETURN_NOT_OK(UnpackArcs(buf, out));
+  for (const Arc& a : *out) {
+    if (a.from >= num_nodes || a.to >= num_nodes) {
+      return Status::ProtocolError("Omega_E' arc endpoint out of range");
+    }
+  }
+  return Status::OK();
+}
+
+std::vector<uint8_t> PackBigUInts(std::span<const BigUInt> v) {
   BinaryWriter w;
   w.WriteVarU64(v.size());
   for (const auto& x : v) WriteBigUInt(&w, x);
   return w.TakeBuffer();
 }
 
+Status UnpackBigUInts(BinaryReader* r, std::vector<BigUInt>* out) {
+  uint64_t count;
+  // A serialized BigUInt is at least one byte (the varint limb count).
+  PSI_RETURN_NOT_OK(r->ReadCount(&count, /*min_bytes_per_element=*/1));
+  out->resize(count);
+  for (auto& x : *out) PSI_RETURN_NOT_OK(ReadBigUInt(r, &x));
+  return Status::OK();
+}
+
 Status UnpackBigUInts(const std::vector<uint8_t>& buf,
                       std::vector<BigUInt>* out) {
   BinaryReader r(buf);
-  uint64_t count;
-  // A serialized BigUInt is at least one byte (the varint limb count).
-  PSI_RETURN_NOT_OK(r.ReadCount(&count, /*min_bytes_per_element=*/1));
-  out->resize(count);
-  for (auto& x : *out) PSI_RETURN_NOT_OK(ReadBigUInt(&r, &x));
+  PSI_RETURN_NOT_OK(UnpackBigUInts(&r, out));
   if (!r.AtEnd()) return Status::SerializationError("trailing bytes");
   return Status::OK();
 }
 
-std::vector<uint8_t> PackBigInts(const std::vector<BigInt>& v) {
+std::vector<uint8_t> PackBigInts(std::span<const BigInt> v) {
   BinaryWriter w;
   w.WriteVarU64(v.size());
   for (const auto& x : v) WriteBigInt(&w, x);
   return w.TakeBuffer();
 }
 
-Status UnpackBigInts(const std::vector<uint8_t>& buf, std::vector<BigInt>* out) {
-  BinaryReader r(buf);
+Status UnpackBigInts(BinaryReader* r, std::vector<BigInt>* out) {
   uint64_t count;
   // A serialized BigInt is a sign byte plus at least a one-byte magnitude.
-  PSI_RETURN_NOT_OK(r.ReadCount(&count, /*min_bytes_per_element=*/2));
+  PSI_RETURN_NOT_OK(r->ReadCount(&count, /*min_bytes_per_element=*/2));
   out->resize(count);
-  for (auto& x : *out) PSI_RETURN_NOT_OK(ReadBigInt(&r, &x));
+  for (auto& x : *out) PSI_RETURN_NOT_OK(ReadBigInt(r, &x));
+  return Status::OK();
+}
+
+Status UnpackBigInts(const std::vector<uint8_t>& buf, std::vector<BigInt>* out) {
+  BinaryReader r(buf);
+  PSI_RETURN_NOT_OK(UnpackBigInts(&r, out));
   if (!r.AtEnd()) return Status::SerializationError("trailing bytes");
   return Status::OK();
 }

@@ -17,6 +17,7 @@
 #define PSI_MPC_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "bigint/bigint.h"
 #include "bigint/biguint.h"
 #include "common/annotations.h"
+#include "common/serialize.h"
 #include "common/status.h"
 #include "graph/graph.h"
 
@@ -38,21 +40,33 @@ std::vector<uint8_t> PackArcs(const std::vector<Arc>& arcs);
 [[nodiscard]] Status UnpackArcs(const std::vector<uint8_t>& buf,
                                 std::vector<Arc>* out);
 
+/// \brief UnpackArcs for an arc set received over users [0, num_nodes)
+/// (an Omega_E' frame): an endpoint at or past num_nodes is a
+/// ProtocolError, since receivers index per-user state by endpoint.
+[[nodiscard]] Status UnpackArcSet(const std::vector<uint8_t>& buf,
+                                  size_t num_nodes, std::vector<Arc>* out);
+
 /// \brief Encodes a BigUInt batch as varint count + serialized elements.
-std::vector<uint8_t> PackBigUInts(const std::vector<BigUInt>& v);
+std::vector<uint8_t> PackBigUInts(std::span<const BigUInt> v);
 
 /// \brief Decodes PackBigUInts output; rejects oversized counts and trailing
 /// bytes.
 [[nodiscard]] Status UnpackBigUInts(const std::vector<uint8_t>& buf,
                                     std::vector<BigUInt>* out);
 
+/// \brief Reads one PackBigUInts batch from `r`, leaving what follows it.
+[[nodiscard]] Status UnpackBigUInts(BinaryReader* r, std::vector<BigUInt>* out);
+
 /// \brief Encodes a BigInt batch as varint count + serialized elements.
-std::vector<uint8_t> PackBigInts(const std::vector<BigInt>& v);
+std::vector<uint8_t> PackBigInts(std::span<const BigInt> v);
 
 /// \brief Decodes PackBigInts output; rejects oversized counts and trailing
 /// bytes.
 [[nodiscard]] Status UnpackBigInts(const std::vector<uint8_t>& buf,
                                    std::vector<BigInt>* out);
+
+/// \brief Reads one PackBigInts batch from `r`, leaving what follows it.
+[[nodiscard]] Status UnpackBigInts(BinaryReader* r, std::vector<BigInt>* out);
 
 /// \brief Encodes a u64 batch as varint count + fixed-width u64 elements
 /// (checkpointed counter vectors in mpc/session stages).

@@ -2,17 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 
 #include "actionlog/generator.h"
 #include "actionlog/partition.h"
 #include "graph/generators.h"
+#include "omega_tamper_network.h"
+#include "transcript_digest.h"
 
 namespace psi {
 namespace {
 
-struct MultiHostFixture {
-  MultiHostFixture(size_t num_hosts, size_t num_providers, uint64_t seed = 51)
+template <typename Net = Network>
+struct BasicMultiHostFixture {
+  BasicMultiHostFixture(size_t num_hosts, size_t num_providers, uint64_t seed = 51)
       : rng(seed) {
     // One "global" graph generates the activity; each host owns a random
     // slice of its arcs (platforms see different parts of the relationship
@@ -66,13 +70,49 @@ struct MultiHostFixture {
   ActionLog log;
   std::vector<ActionLog> provider_logs;
   std::vector<std::unique_ptr<SocialGraph>> host_graphs;
-  Network net;
+  Net net;
   std::vector<PartyId> hosts;
   std::vector<PartyId> providers;
   std::vector<std::unique_ptr<Rng>> host_rng_store;
   std::vector<std::unique_ptr<Rng>> provider_rng_store;
   std::unique_ptr<Rng> pair_secret;
 };
+
+using MultiHostFixture = BasicMultiHostFixture<>;
+
+TEST(MultiHostTest, OmegaArcPastTheUsersIsAProtocolError) {
+  // The providers index per-user masks by the arcs they decode, so an arc
+  // source >= n must end the run cleanly instead of reading out of bounds.
+  BasicMultiHostFixture<OmegaTamperNetwork> f(2, 3);
+  f.net.tamper_from = f.hosts[0];
+  f.net.tamper_to = f.providers[0];
+  f.net.bad_source = static_cast<NodeId>(f.global->num_nodes() + 7);
+  Protocol4Config cfg;
+  MultiHostLinkInfluenceProtocol proto(&f.net, f.hosts, f.providers, cfg);
+  auto result = proto.Run(f.GraphPtrs(), 50, f.provider_logs, f.HostRngs(),
+                          f.ProviderRngs(), f.pair_secret.get());
+  EXPECT_EQ(result.status().code(), StatusCode::kProtocolError)
+      << result.status().ToString();
+  EXPECT_EQ(f.net.PendingCount(), 0u);
+}
+
+TEST(MultiHostTest, TranscriptMatchesPinnedDigest) {
+  // Every transmitted frame plus every host's estimates, against a digest
+  // recorded from an earlier build.
+  BasicMultiHostFixture<DigestNetwork> f(2, 3);
+  Protocol4Config cfg;
+  cfg.h = 4;
+  MultiHostLinkInfluenceProtocol proto(&f.net, f.hosts, f.providers, cfg);
+  auto results = proto.Run(f.GraphPtrs(), 50, f.provider_logs, f.HostRngs(),
+                           f.ProviderRngs(), f.pair_secret.get())
+                     .ValueOrDie();
+  Fnv1a fnv;
+  fnv.AddU64(f.net.digest());
+  for (const auto& li : results) {
+    for (double p : li.p) fnv.AddU64(std::bit_cast<uint64_t>(p));
+  }
+  EXPECT_EQ(fnv.value(), 0xc7a1dfad145a9efdull) << std::hex << fnv.value();
+}
 
 TEST(MultiHostTest, EveryHostGetsItsExactPlaintextStrengths) {
   MultiHostFixture f(3, 3);

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <set>
 
 #include "actionlog/generator.h"
 #include "actionlog/partition.h"
 #include "graph/generators.h"
+#include "transcript_digest.h"
 
 namespace psi {
 namespace {
@@ -54,6 +56,34 @@ TEST(PerfectHidingTest, MatchesPlaintextOnSmallGraph) {
     EXPECT_NEAR(secure.p[e], plain.p[e], 1e-9) << "arc " << e;
   }
   EXPECT_EQ(net.PendingCount(), 0u);
+}
+
+TEST(PerfectHidingTest, TranscriptMatchesPinnedDigest) {
+  // Every transmitted frame (OT rounds included) plus the estimates,
+  // against a digest recorded from an earlier build.
+  Rng rng(36);
+  auto graph = ErdosRenyiArcs(&rng, 8, 20).ValueOrDie();
+  auto truth = GroundTruthInfluence::Uniform(graph, 0.5);
+  CascadeParams params;
+  params.num_actions = 20;
+  auto log = GenerateCascades(&rng, graph, truth, params).ValueOrDie();
+  auto logs = ExclusivePartition(&rng, log, 3).ValueOrDie();
+
+  DigestNetwork net;
+  PartyId host = net.RegisterParty("H");
+  std::vector<PartyId> providers{net.RegisterParty("P1"),
+                                 net.RegisterParty("P2"),
+                                 net.RegisterParty("P3")};
+  Rng hr(1), p1(2), p2(3), p3(4), secret(5);
+  std::vector<Rng*> rngs{&p1, &p2, &p3};
+  PerfectHidingConfig cfg;
+  cfg.h = 3;
+  PerfectHidingLinkInfluenceProtocol proto(&net, host, providers, cfg);
+  auto secure = proto.Run(graph, 20, logs, &hr, rngs, &secret).ValueOrDie();
+  Fnv1a fnv;
+  fnv.AddU64(net.digest());
+  for (double p : secure.p) fnv.AddU64(std::bit_cast<uint64_t>(p));
+  EXPECT_EQ(fnv.value(), 0xf6a697602fb9e8cfull) << std::hex << fnv.value();
 }
 
 TEST(PerfectHidingTest, ProvidersNeverReceiveArcInformation) {

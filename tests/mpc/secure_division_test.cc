@@ -100,5 +100,105 @@ TEST_F(SecureDivisionTest, MaskDistributionMatchesZTimesUniform) {
   EXPECT_GT(masks.front(), 0.0);
 }
 
+// ---- The batched share-masked form (Protocol 4 steps 5-9). ----
+
+// Additive shares of `values` in the Protocol 2 style: s1 random in
+// [0, 2^64), s2 = value - s1 (so s2 is usually negative).
+void Share(const std::vector<uint64_t>& values, Rng* rng,
+           std::vector<BigUInt>* s1, std::vector<BigInt>* s2) {
+  s1->clear();
+  s2->clear();
+  for (uint64_t v : values) {
+    BigUInt r(rng->UniformU64(~uint64_t{0}));
+    s2->push_back(BigInt(BigUInt(v)) - BigInt(r));
+    s1->push_back(std::move(r));
+  }
+}
+
+TEST_F(SecureDivisionTest, DrawDivisionMasksMetersTwoJointRounds) {
+  Rng r1(20), r2(21);
+  auto masks = DrawDivisionMasks(&net_, p1_, p2_, 5, &r1, &r2, "t.M", "t.r",
+                                 /*fraction_bits=*/32)
+                   .ValueOrDie();
+  ASSERT_EQ(masks.size(), 5u);
+  for (const BigUInt& mask : masks) EXPECT_FALSE(mask.IsZero());
+  auto report = net_.Report();
+  EXPECT_EQ(report.num_rounds, 2u);
+  EXPECT_EQ(report.num_messages, 4u);
+  EXPECT_EQ(net_.PendingCount(), 0u);
+}
+
+TEST(SecureDivisionBatchTest, MaskOwnersMapsCountersToUsers) {
+  const std::vector<Arc> arcs{{2, 0}, {1, 2}};
+  EXPECT_EQ(MaskOwners(3, arcs), (std::vector<size_t>{0, 1, 2, 2, 1}));
+}
+
+TEST(SecureDivisionBatchTest, MaskThenRecombineIsExact) {
+  // Two users, one arc (1 -> 0): counters [a_0, a_1, b_10].
+  const std::vector<uint64_t> counters{4, 6, 3};
+  Rng rng(22);
+  std::vector<BigUInt> s1;
+  std::vector<BigInt> s2;
+  Share(counters, &rng, &s1, &s2);
+  const std::vector<BigUInt> masks{BigUInt(1000003), BigUInt(77)};
+  const std::vector<size_t> owners = MaskOwners(2, {{1, 0}});
+  auto masked = MaskShares(owners, s1, s2, masks).ValueOrDie();
+  auto sums = RecombineMaskedShares(masked.m1, masked.m2, 3).ValueOrDie();
+  ASSERT_EQ(sums.size(), 3u);
+  EXPECT_EQ(sums[0], BigUInt(4 * 1000003));
+  EXPECT_EQ(sums[1], BigUInt(6 * 77));
+  EXPECT_EQ(sums[2], BigUInt(3 * 77));
+}
+
+TEST(SecureDivisionBatchTest, MaskSharesRejectsBadGeometry) {
+  const std::vector<BigUInt> masks{BigUInt(5)};
+  const std::vector<BigUInt> s1{BigUInt(1), BigUInt(2)};
+  const std::vector<BigInt> s2{BigInt(0), BigInt(0)};
+  EXPECT_EQ(MaskShares({0, 1}, s1, s2, masks).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(MaskShares({0}, s1, s2, masks).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SecureDivisionBatchTest, NegativeRecombinationIsAProtocolError) {
+  const std::vector<BigUInt> m1{BigUInt(10), BigUInt(3)};
+  const std::vector<BigInt> m2{BigInt(-10), BigInt(-4)};
+  auto result = RecombineMaskedShares(m1, m2, 2);
+  EXPECT_EQ(result.status().code(), StatusCode::kProtocolError);
+}
+
+TEST(SecureDivisionBatchTest, ShortShareVectorIsAProtocolError) {
+  const std::vector<BigUInt> m1{BigUInt(10), BigUInt(3)};
+  const std::vector<BigInt> m2{BigInt(-1), BigInt(2)};
+  EXPECT_EQ(RecombineMaskedShares({BigUInt(10)}, m2, 2).status().code(),
+            StatusCode::kProtocolError);
+  EXPECT_EQ(RecombineMaskedShares(m1, {BigInt(-1)}, 2).status().code(),
+            StatusCode::kProtocolError);
+  EXPECT_EQ(RecombineMaskedShares(m1, m2, 3).status().code(),
+            StatusCode::kProtocolError);
+  EXPECT_TRUE(RecombineMaskedShares(m1, m2, 2).ok());
+}
+
+TEST(SecureDivisionBatchTest, ArcQuotientsDivideAndDescale) {
+  // Omega lists a decoy arc first; numerators are indexed like Omega.
+  const std::vector<Arc> omega{{0, 2}, {1, 0}, {0, 1}};
+  const std::vector<BigUInt> masked_a{BigUInt(40), BigUInt(0), BigUInt(9)};
+  const std::vector<BigUInt> masked_b{BigUInt(7), BigUInt(5), BigUInt(30)};
+  const std::vector<Arc> arcs{{0, 1}, {1, 0}};
+  auto p = ArcQuotients(arcs, omega, masked_a, masked_b, /*descale=*/2.0)
+               .ValueOrDie();
+  ASSERT_EQ(p.size(), 2u);
+  EXPECT_DOUBLE_EQ(p[0], 30.0 / 40.0 / 2.0);
+  EXPECT_DOUBLE_EQ(p[1], 0.0);  // user 1's denominator is zero.
+}
+
+TEST(SecureDivisionBatchTest, ArcMissingFromOmegaIsAProtocolError) {
+  const std::vector<Arc> omega{{0, 1}};
+  const std::vector<BigUInt> masked_a{BigUInt(4), BigUInt(4)};
+  const std::vector<BigUInt> masked_b{BigUInt(2)};
+  auto result = ArcQuotients({{1, 0}}, omega, masked_a, masked_b, 1.0);
+  EXPECT_EQ(result.status().code(), StatusCode::kProtocolError);
+}
+
 }  // namespace
 }  // namespace psi

@@ -2,18 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 
 #include "actionlog/counters.h"
 #include "actionlog/generator.h"
 #include "actionlog/partition.h"
 #include "graph/generators.h"
+#include "transcript_digest.h"
 
 namespace psi {
 namespace {
 
-struct ScoreFixture {
-  ScoreFixture(size_t num_providers, uint64_t seed = 23) : rng(seed) {
+template <typename Net = Network>
+struct BasicScoreFixture {
+  BasicScoreFixture(size_t num_providers, uint64_t seed = 23) : rng(seed) {
     graph = std::make_unique<SocialGraph>(
         ErdosRenyiArcs(&rng, 30, 140).ValueOrDie());
     auto truth = GroundTruthInfluence::Uniform(*graph, 0.5);
@@ -49,13 +52,31 @@ struct ScoreFixture {
   std::unique_ptr<SocialGraph> graph;
   ActionLog log;
   std::vector<ActionLog> provider_logs;
-  Network net;
+  Net net;
   PartyId host;
   std::vector<PartyId> providers;
   std::vector<std::unique_ptr<Rng>> rngs;
   std::unique_ptr<Rng> host_rng;
   std::unique_ptr<Rng> pair_secret;
 };
+
+using ScoreFixture = BasicScoreFixture<>;
+
+TEST(SecureUserScoreTest, TranscriptMatchesPinnedDigest) {
+  // Every transmitted frame, the revealed a_i and the scores, against a
+  // digest recorded from an earlier build.
+  BasicScoreFixture<DigestNetwork> f(3);
+  auto cfg = f.Config();
+  SecureUserScoreProtocol proto(&f.net, f.host, f.providers, cfg);
+  auto scores = proto.Run(*f.graph, 20, f.provider_logs, f.host_rng.get(),
+                          f.RngPtrs(), f.pair_secret.get())
+                    .ValueOrDie();
+  Fnv1a fnv;
+  fnv.AddU64(f.net.digest());
+  for (uint64_t a : proto.revealed_action_counts()) fnv.AddU64(a);
+  for (double s : scores) fnv.AddU64(std::bit_cast<uint64_t>(s));
+  EXPECT_EQ(fnv.value(), 0xb343055c347ad529ull) << std::hex << fnv.value();
+}
 
 TEST(SecureUserScoreTest, ScoresMatchPlaintextBaseline) {
   ScoreFixture f(3);

@@ -2,17 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 
 #include "actionlog/generator.h"
 #include "actionlog/partition.h"
 #include "graph/generators.h"
+#include "omega_tamper_network.h"
+#include "transcript_digest.h"
 
 namespace psi {
 namespace {
 
-struct SegFixture {
-  SegFixture(size_t num_providers, uint32_t num_segments, uint64_t seed = 71)
+template <typename Net = Network>
+struct BasicSegFixture {
+  BasicSegFixture(size_t num_providers, uint32_t num_segments, uint64_t seed = 71)
       : rng(seed) {
     graph = std::make_unique<SocialGraph>(
         ErdosRenyiArcs(&rng, 25, 120).ValueOrDie());
@@ -47,13 +51,49 @@ struct SegFixture {
   ActionLog log;
   std::vector<ActionLog> provider_logs;
   std::vector<uint32_t> segments;
-  Network net;
+  Net net;
   PartyId host;
   std::vector<PartyId> providers;
   std::vector<std::unique_ptr<Rng>> rng_store;
   std::unique_ptr<Rng> host_rng;
   std::unique_ptr<Rng> pair_secret;
 };
+
+using SegFixture = BasicSegFixture<>;
+
+TEST(SegmentedInfluenceTest, OmegaArcPastTheUsersIsAProtocolError) {
+  // Each provider counts over its own Omega copy, so an arc source >= n in
+  // one copy must end the run cleanly instead of indexing past the users.
+  BasicSegFixture<OmegaTamperNetwork> f(3, 2);
+  f.net.tamper_from = f.host;
+  f.net.tamper_to = f.providers[1];
+  f.net.bad_source = static_cast<NodeId>(f.graph->num_nodes() + 3);
+  Protocol4Config cfg;
+  SegmentedInfluenceProtocol proto(&f.net, f.host, f.providers, cfg);
+  auto result = proto.Run(*f.graph, 60, f.provider_logs, f.segments, 2,
+                          f.host_rng.get(), f.RngPtrs(), f.pair_secret.get());
+  EXPECT_EQ(result.status().code(), StatusCode::kProtocolError)
+      << result.status().ToString();
+  EXPECT_EQ(f.net.PendingCount(), 0u);
+}
+
+TEST(SegmentedInfluenceTest, TranscriptMatchesPinnedDigest) {
+  // Every transmitted frame plus every per-segment estimate, against a
+  // digest recorded from an earlier build.
+  BasicSegFixture<DigestNetwork> f(3, 3);
+  Protocol4Config cfg;
+  cfg.h = 4;
+  SegmentedInfluenceProtocol proto(&f.net, f.host, f.providers, cfg);
+  auto secure = proto.Run(*f.graph, 60, f.provider_logs, f.segments, 3,
+                          f.host_rng.get(), f.RngPtrs(), f.pair_secret.get())
+                    .ValueOrDie();
+  Fnv1a fnv;
+  fnv.AddU64(f.net.digest());
+  for (const auto& li : secure.per_segment) {
+    for (double p : li.p) fnv.AddU64(std::bit_cast<uint64_t>(p));
+  }
+  EXPECT_EQ(fnv.value(), 0x016bd17bb18c0256ull) << std::hex << fnv.value();
+}
 
 TEST(SegmentedInfluenceTest, MatchesPlaintextPerSegment) {
   SegFixture f(3, 4);

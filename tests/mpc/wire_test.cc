@@ -97,7 +97,7 @@ TEST(WireBigInts, RejectsCountExceedingBuffer) {
 }
 
 TEST(WireBigInts, RejectsTrailingBytes) {
-  auto good = wire::PackBigInts({BigInt(5)});
+  auto good = wire::PackBigInts(std::vector<BigInt>{BigInt(5)});
   good.push_back(0);
   std::vector<BigInt> decoded;
   EXPECT_FALSE(wire::UnpackBigInts(good, &decoded).ok());
