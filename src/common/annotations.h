@@ -16,7 +16,7 @@
 //
 // PSI_SANITIZES marks a declassification boundary: a function whose return
 // value is safe to branch on, send, or log even when its arguments are
-// secret (masking, encryption, commitment, constant-time comparison).
+// secret (masking, encryption, constant-time comparison).
 // Place it on the declaration; psi_lint picks up the function name that
 // follows:
 //

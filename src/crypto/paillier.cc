@@ -170,7 +170,6 @@ Result<BigUInt> PaillierDecryptCrt(const PaillierPrivateKey& key,
   if (c >= key.n_squared) {
     return Status::InvalidArgument("Paillier ciphertext >= n^2");
   }
-  if (!key.HasCrt()) return PaillierDecrypt(key, c);
   // The classic path's well-formedness check (c^lambda ≡ 1 mod n) fails
   // exactly when gcd(c, n) != 1 — for coprime c, Fermat gives c^lambda ≡ 1
   // both mod p and mod q. With n = p*q for primes p and q, that gcd is 1
@@ -211,85 +210,6 @@ Result<std::vector<BigUInt>> PaillierDecryptBatch(
         return Status::OK();
       }));
   return out;
-}
-
-namespace {
-
-// Private-key wire format v1. The version byte cannot collide with the
-// legacy layout, which starts with the varint limb count of n (>= 2 for any
-// valid modulus of >= 128 bits).
-constexpr uint8_t kPaillierKeyVersion = 1;
-
-// Reads a BigUInt whose leading varint byte was already consumed as `limbs`.
-[[nodiscard]] Status ReadBigUIntBody(BinaryReader* r, uint64_t limbs, BigUInt* out) {
-  std::vector<uint8_t> bytes(static_cast<size_t>(limbs) * 8);
-  for (uint64_t i = 0; i < limbs; ++i) {
-    uint64_t limb;
-    PSI_RETURN_NOT_OK(r->ReadU64(&limb));
-    for (size_t b = 0; b < 8; ++b) {
-      bytes[static_cast<size_t>(i) * 8 + b] =
-          static_cast<uint8_t>((limb >> (8 * b)) & 0xff);
-    }
-  }
-  *out = BigUInt::FromLittleEndianBytes(bytes);
-  return Status::OK();
-}
-
-}  // namespace
-
-void WritePaillierPrivateKey(BinaryWriter* w, const PaillierPrivateKey& key) {
-  w->WriteU8(kPaillierKeyVersion);
-  WriteBigUInt(w, key.n);
-  WriteBigUInt(w, key.lambda);
-  WriteBigUInt(w, key.mu);
-  w->WriteU8(key.HasCrt() ? 1 : 0);
-  if (key.HasCrt()) {
-    WriteBigUInt(w, key.p);
-    WriteBigUInt(w, key.q);
-    WriteBigUInt(w, key.hp);
-    WriteBigUInt(w, key.hq);
-    WriteBigUInt(w, key.q_inv_p);
-  }
-}
-
-Status ReadPaillierPrivateKey(BinaryReader* r, PaillierPrivateKey* out) {
-  *out = PaillierPrivateKey{};
-  uint8_t first;
-  PSI_RETURN_NOT_OK(r->ReadU8(&first));
-  if (first != kPaillierKeyVersion) {
-    // Legacy v0 layout: n, lambda, mu with no version byte. `first` is the
-    // single-byte varint limb count of n.
-    if (first < 2 || first > 127) {
-      return Status::SerializationError("unknown Paillier key version");
-    }
-    PSI_RETURN_NOT_OK(ReadBigUIntBody(r, first, &out->n));
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->lambda));
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->mu));
-    out->n_squared = out->n * out->n;
-    return Status::OK();  // No CRT block: decrypt via the classic path.
-  }
-  PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->n));
-  PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->lambda));
-  PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->mu));
-  out->n_squared = out->n * out->n;
-  uint8_t has_crt;
-  PSI_RETURN_NOT_OK(r->ReadU8(&has_crt));
-  if (has_crt == 1) {
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->p));
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->q));
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->hp));
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->hq));
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->q_inv_p));
-    // psi-lint: allow(secret-flow) consistency check on a key the caller already owns in the clear
-    if (out->p.IsZero() || out->q.IsZero() || out->p * out->q != out->n) {
-      return Status::SerializationError("Paillier CRT block inconsistent");
-    }
-    out->p_squared = out->p * out->p;
-    out->q_squared = out->q * out->q;
-  } else if (has_crt != 0) {
-    return Status::SerializationError("bad Paillier CRT presence byte");
-  }
-  return Status::OK();
 }
 
 BigUInt PaillierAddCiphertexts(const PaillierPublicKey& key, const BigUInt& c1,

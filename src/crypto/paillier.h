@@ -28,15 +28,14 @@ struct PaillierPublicKey {
 /// The CRT block is filled by PaillierGenerateKeyPair and lets
 /// PaillierDecryptCrt exponentiate mod p^2 and q^2 (half-size moduli,
 /// half-size exponents) instead of mod n^2 — ~3-4x per decryption. Keys
-/// deserialized from the legacy wire format lack the block (HasCrt() is
-/// false) and decrypt through the classic path.
+/// are never serialized, so every key carries the block.
 struct PaillierPrivateKey {
   BigUInt n;
   BigUInt n_squared;
   PSI_SECRET BigUInt lambda;  ///< lcm(p-1, q-1)
   PSI_SECRET BigUInt mu;      ///< (L(g^lambda mod n^2))^-1 mod n
 
-  // -- CRT block (empty when unavailable) -----------------------------------
+  // -- CRT block ------------------------------------------------------------
   PSI_SECRET BigUInt p;          ///< First prime factor of n.
   PSI_SECRET BigUInt q;          ///< Second prime factor.
   PSI_SECRET BigUInt p_squared;  ///< p^2.
@@ -44,11 +43,6 @@ struct PaillierPrivateKey {
   PSI_SECRET BigUInt hp;  ///< (L_p((n+1)^(p-1) mod p^2))^-1 mod p.
   PSI_SECRET BigUInt hq;  ///< (L_q((n+1)^(q-1) mod q^2))^-1 mod q.
   PSI_SECRET BigUInt q_inv_p;  ///< q^-1 mod p, for Garner recombination.
-
-  /// Key-shape predicate, not key material: the has-CRT bit is serialized
-  /// in the clear by WritePaillierPrivateKey, so branching on it is public
-  /// metadata (PSI_SANITIZES declassifies the p-derived taint).
-  PSI_SANITIZES bool HasCrt() const { return !p.IsZero(); }
 };
 
 struct PaillierKeyPair {
@@ -111,9 +105,8 @@ class PaillierRandomizerPool {
 /// \brief CRT-accelerated decryption: exponentiates mod p^2 and q^2 with
 /// exponents p-1 and q-1, recombines via Garner — same result as
 /// PaillierDecrypt at ~3-4x the speed (half-size moduli AND half-size
-/// exponents). Falls back to PaillierDecrypt when the key lacks the CRT
-/// block. Rejects c >= n^2 and (like the classic path) ciphertexts not
-/// coprime to n as malformed.
+/// exponents). Rejects c >= n^2 and (like the classic path) ciphertexts
+/// not coprime to n as malformed.
 [[nodiscard]] Result<BigUInt> PaillierDecryptCrt(const PaillierPrivateKey& key,
                                    const BigUInt& c);
 
@@ -122,13 +115,6 @@ class PaillierRandomizerPool {
 /// and identical to serial PaillierDecryptCrt calls.
 [[nodiscard]] Result<std::vector<BigUInt>> PaillierDecryptBatch(
     const PaillierPrivateKey& key, const std::vector<BigUInt>& ciphertexts);
-
-/// \brief Serializes a private key. Writes the versioned format (v1) that
-/// carries the CRT block; ReadPaillierPrivateKey also accepts the legacy
-/// v0 layout (n, lambda, mu — no version byte, no CRT block), yielding a
-/// key with HasCrt() == false that still decrypts via the classic path.
-void WritePaillierPrivateKey(BinaryWriter* w, const PaillierPrivateKey& key);
-[[nodiscard]] Status ReadPaillierPrivateKey(BinaryReader* r, PaillierPrivateKey* out);
 
 /// \brief Homomorphic addition: Dec(AddCiphertexts(c1, c2)) = m1 + m2 mod n.
 BigUInt PaillierAddCiphertexts(const PaillierPublicKey& key, const BigUInt& c1,

@@ -1,6 +1,5 @@
 // SHA-256 (FIPS 180-4): the KDF of the hybrid encryption mode, the
-// oblivious-transfer key hash, the socket transport's token proofs, and the
-// hash of crypto/commitment.h.
+// oblivious-transfer key hash and the socket transport's token proofs.
 
 #ifndef PSI_CRYPTO_SHA256_H_
 #define PSI_CRYPTO_SHA256_H_

@@ -6,8 +6,8 @@
 // JointUniformBatch produces: each party contributes a uniform vector, the
 // joint value is the fractional part of the sum, so neither party alone
 // biases or predicts it in the semi-honest model. (A malicious-model variant
-// would wrap the first message in a hash commitment — crypto/commitment.h —
-// at the cost of one extra round.)
+// would wrap the first message in a hash commitment at the cost of one extra
+// round.)
 
 #ifndef PSI_MPC_JOINT_RANDOM_H_
 #define PSI_MPC_JOINT_RANDOM_H_

@@ -58,8 +58,7 @@ struct MaskedShares {
 
 /// \brief Steps 7-8: the masked shares of every counter c, masked by
 /// masks[owners[c]], computed on the pool. A length mismatch or an owner
-/// past the masks is InvalidArgument. (`masks` comes last because psi_lint
-/// reads the parameters after a PSI_SECRET one as secret too.)
+/// past the masks is InvalidArgument.
 PSI_SANITIZES [[nodiscard]] Result<MaskedShares> MaskShares(
     const std::vector<size_t>& owners, const std::vector<BigUInt>& s1,
     const std::vector<BigInt>& s2, PSI_SECRET const std::vector<BigUInt>& masks);

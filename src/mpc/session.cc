@@ -129,14 +129,6 @@ Status StageProgramRegistry::Run(const std::string& name,
   return fn(ctx);
 }
 
-std::vector<std::string> StageProgramRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(programs_.size());
-  for (const auto& [name, fn] : programs_) names.push_back(name);
-  return names;
-}
-
 // -- ProtocolSession --------------------------------------------------------
 
 ProtocolSession::ProtocolSession(std::string name, Network* network,

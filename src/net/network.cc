@@ -231,7 +231,7 @@ Result<std::vector<uint8_t>> Network::RecvValidated(PartyId to, PartyId from,
   int attempts = 0;
   int discards = 0;
   int retransmits = 0;
-  while (attempts < opts.max_attempts && discards < opts.max_discards) {
+  while (attempts < opts.max_attempts && discards < kMaxDiscardsPerRecv) {
     if (deadline_ms != 0 && elapsed_ms() >= deadline_ms) {
       return Status::ProtocolError(
           "RecvValidated: deadline of " + std::to_string(deadline_ms) +

@@ -77,6 +77,10 @@ struct TrafficReport {
 /// clean ProtocolError instead of buffering further.
 inline constexpr size_t kMaxStashedFramesPerChannel = 64;
 
+/// \brief Discards (stale duplicates, early-frame stashes) one RecvValidated
+/// call tolerates before giving up, so a flooded mailbox still terminates.
+inline constexpr int kMaxDiscardsPerRecv = 64;
+
 /// \brief Bounds for one RecvValidated call.
 struct RecvOptions {
   /// Maximum transport attempts (initial receive plus retransmission
@@ -90,9 +94,6 @@ struct RecvOptions {
   /// attempt constant; once spent, the call keeps draining pending frames
   /// but no longer asks the transport to re-deliver anything.
   int max_retransmits = 4;
-  /// Free discards (stale duplicates, early-frame stashes) tolerated before
-  /// giving up, so a flooded mailbox still terminates.
-  int max_discards = 64;
   /// Wall-clock bound on the whole call, in milliseconds. 0 means "backend
   /// default": unbounded on the simulated Network (attempts alone bound the
   /// call), the configured receive timeout on the socket transport. A

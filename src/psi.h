@@ -20,7 +20,6 @@
 #include "common/stats.h"             // IWYU pragma: export
 #include "common/status.h"            // IWYU pragma: export
 #include "crypto/chacha20.h"          // IWYU pragma: export
-#include "crypto/commitment.h"        // IWYU pragma: export
 #include "crypto/oblivious_transfer.h"  // IWYU pragma: export
 #include "crypto/packing.h"           // IWYU pragma: export
 #include "crypto/paillier.h"          // IWYU pragma: export
@@ -31,7 +30,6 @@
 #include "graph/generators.h"         // IWYU pragma: export
 #include "graph/graph.h"              // IWYU pragma: export
 #include "graph/io.h"                 // IWYU pragma: export
-#include "graph/metrics.h"            // IWYU pragma: export
 #include "graph/propagation_graph.h"  // IWYU pragma: export
 #include "influence/em_learner.h"     // IWYU pragma: export
 #include "influence/evaluation.h"     // IWYU pragma: export

@@ -20,6 +20,7 @@
 #include "mpc/propagation_protocol.h"
 #include "mpc/session.h"
 #include "mpc/wire.h"
+#include "net/envelope.h"
 
 namespace psi {
 namespace {
@@ -293,6 +294,117 @@ TEST(FuzzTest, MutatedRsaKeyCheckpointsFailCleanlyOrDecrypt) {
   // flips in n, p or q do not. Both outcomes must occur.
   EXPECT_GT(accepted, 100u);
   EXPECT_LT(accepted, 2900u);
+}
+
+std::vector<uint8_t> RandomBytes(Rng* rng, size_t max_len) {
+  std::vector<uint8_t> out(rng->UniformU64(max_len + 1));
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng->UniformU64(256));
+  return out;
+}
+
+TEST(FuzzTest, MutatedEnvelopesFailCleanlyOrReseal) {
+  // Every frame psid and the socket transport read is opened here first.
+  Rng rng(0xe7e1);
+  std::vector<std::vector<uint8_t>> corpus;
+  for (int k = 0; k < 16; ++k) {
+    const auto id = static_cast<ProtocolId>(rng.UniformU64(11));
+    const auto step = static_cast<uint16_t>(rng.UniformU64(8));
+    const auto sender = static_cast<uint32_t>(rng.UniformU64(5));
+    const uint64_t seq = rng.UniformU64(1000);
+    corpus.push_back(SealEnvelope(id, step, sender, seq, RandomBytes(&rng, 48)));
+  }
+  size_t accepted = 0;
+  for (size_t mutant = 0; mutant < 3000; ++mutant) {
+    const std::vector<uint8_t> frame = Mutate(&rng, corpus);
+    auto env = OpenEnvelope(frame);
+    if (!env.ok()) {
+      ASSERT_EQ(env.status().code(), StatusCode::kSerializationError)
+          << "mutant " << mutant;
+      continue;
+    }
+    ++accepted;
+    // The layout is fixed-width, so an accepted frame reseals to itself.
+    const Envelope& e = env.ValueOrDie();
+    const auto again = SealEnvelope(e.protocol_id, e.step, e.sender, e.seq, e.payload);
+    ASSERT_EQ(again, frame) << "mutant " << mutant;
+  }
+  // The CRC rejects flips and truncations; only whole-frame splices pass.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, 300u);
+}
+
+std::vector<wire::ExecRngBlob> FuzzRngBlobs(Rng* rng) {
+  std::vector<wire::ExecRngBlob> blobs(rng->UniformU64(3));
+  for (size_t i = 0; i < blobs.size(); ++i) {
+    blobs[i] = {"rng" + std::to_string(i), RandomBytes(rng, 40)};
+  }
+  return blobs;
+}
+
+TEST(FuzzTest, MutatedExecFramesFailCleanlyOrRoundTrip) {
+  // psid decodes requests from the network; the host decodes responses.
+  Rng rng(0xe8ec);
+  std::vector<std::vector<uint8_t>> requests, responses;
+  for (uint32_t k = 0; k < 8; ++k) {
+    wire::ExecRequest req;
+    req.session = "s" + std::to_string(k);
+    req.program = k % 2 == 0 ? "p4/counters" : "p6/encrypt";
+    req.stage_index = k;
+    req.attempt = 1 + k % 3;
+    req.party = k % 4;
+    req.includes_state = k % 2 == 0;
+    if (req.includes_state) req.state_blob = RandomBytes(&rng, 64);
+    req.rng_blobs = FuzzRngBlobs(&rng);
+    requests.push_back(wire::PackExecRequest(req));
+
+    wire::ExecResponse resp;
+    resp.outcome = static_cast<wire::ExecOutcome>(k % 4);
+    resp.message = resp.outcome == wire::ExecOutcome::kOk ? "" : "failed";
+    resp.from_cache = k % 3 == 0;
+    resp.crypto_ops = rng.UniformU64(1000);
+    if (resp.outcome == wire::ExecOutcome::kOk) {
+      resp.state_blob = RandomBytes(&rng, 64);
+      resp.rng_blobs = FuzzRngBlobs(&rng);
+    }
+    responses.push_back(wire::PackExecResponse(resp));
+  }
+  size_t accepted_requests = 0, accepted_responses = 0;
+  for (size_t mutant = 0; mutant < 3000; ++mutant) {
+    const std::vector<uint8_t> buf = Mutate(&rng, requests);
+    wire::ExecRequest req;
+    const Status unpacked = wire::UnpackExecRequest(buf, &req);
+    if (!unpacked.ok()) {
+      ASSERT_EQ(unpacked.code(), StatusCode::kSerializationError)
+          << "mutant " << mutant;
+      continue;
+    }
+    ++accepted_requests;
+    const std::vector<uint8_t> again = wire::PackExecRequest(req);
+    wire::ExecRequest back;
+    ASSERT_TRUE(wire::UnpackExecRequest(again, &back).ok()) << "mutant " << mutant;
+    ASSERT_EQ(wire::PackExecRequest(back), again) << "mutant " << mutant;
+  }
+  for (size_t mutant = 0; mutant < 3000; ++mutant) {
+    const std::vector<uint8_t> buf = Mutate(&rng, responses);
+    wire::ExecResponse resp;
+    const Status unpacked = wire::UnpackExecResponse(buf, &resp);
+    if (!unpacked.ok()) {
+      ASSERT_EQ(unpacked.code(), StatusCode::kSerializationError)
+          << "mutant " << mutant;
+      continue;
+    }
+    ++accepted_responses;
+    const std::vector<uint8_t> again = wire::PackExecResponse(resp);
+    wire::ExecResponse back;
+    ASSERT_TRUE(wire::UnpackExecResponse(again, &back).ok()) << "mutant " << mutant;
+    ASSERT_EQ(wire::PackExecResponse(back), again) << "mutant " << mutant;
+  }
+  // Flips inside strings, blobs and fixed-width fields keep a frame
+  // well-formed; flips in lengths and tags do not. Both must occur.
+  EXPECT_GT(accepted_requests, 100u);
+  EXPECT_LT(accepted_requests, 2900u);
+  EXPECT_GT(accepted_responses, 100u);
+  EXPECT_LT(accepted_responses, 2900u);
 }
 
 }  // namespace

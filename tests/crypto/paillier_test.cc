@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "bigint/modular.h"
-#include "common/serialize.h"
 
 namespace psi {
 namespace {
@@ -120,7 +119,8 @@ TEST_F(PaillierTest, GenerateRejectsBadSizes) {
 
 TEST_F(PaillierTest, KeygenFillsCrtBlock) {
   const auto& sk = key_pair_->private_key;
-  ASSERT_TRUE(sk.HasCrt());
+  ASSERT_FALSE(sk.p.IsZero());
+  ASSERT_FALSE(sk.q.IsZero());
   EXPECT_EQ(sk.p * sk.q, sk.n);
   EXPECT_EQ(sk.p_squared, sk.p * sk.p);
   EXPECT_EQ(sk.q_squared, sk.q * sk.q);
@@ -170,15 +170,6 @@ TEST_F(PaillierTest, CrtRejectsNonCoprimeCiphertext) {
   }
 }
 
-TEST_F(PaillierTest, CrtFallsBackWithoutCrtBlock) {
-  PaillierPrivateKey stripped = key_pair_->private_key;
-  stripped.p = BigUInt();
-  ASSERT_FALSE(stripped.HasCrt());
-  BigUInt m(987654321);
-  BigUInt c = PaillierEncrypt(key_pair_->public_key, m, rng_).ValueOrDie();
-  EXPECT_EQ(PaillierDecryptCrt(stripped, c).ValueOrDie(), m);
-}
-
 TEST_F(PaillierTest, DecryptBatchMatchesSerial) {
   std::vector<BigUInt> cts;
   std::vector<BigUInt> expected;
@@ -198,59 +189,6 @@ TEST_F(PaillierTest, DecryptBatchSurfacesMalformedCiphertext) {
       PaillierEncrypt(key_pair_->public_key, BigUInt(1), rng_).ValueOrDie(),
       key_pair_->public_key.n_squared + BigUInt(1)};
   EXPECT_FALSE(PaillierDecryptBatch(key_pair_->private_key, cts).ok());
-}
-
-// --------------------------------------------------- key serialization --
-
-TEST_F(PaillierTest, PrivateKeySerializationRoundTrip) {
-  BinaryWriter w;
-  WritePaillierPrivateKey(&w, key_pair_->private_key);
-  BinaryReader r(w.buffer());
-  PaillierPrivateKey back;
-  ASSERT_TRUE(ReadPaillierPrivateKey(&r, &back).ok());
-  EXPECT_TRUE(r.AtEnd());
-  ASSERT_TRUE(back.HasCrt());
-  EXPECT_EQ(back.n, key_pair_->private_key.n);
-  EXPECT_EQ(back.lambda, key_pair_->private_key.lambda);
-  EXPECT_EQ(back.mu, key_pair_->private_key.mu);
-  EXPECT_EQ(back.p, key_pair_->private_key.p);
-  EXPECT_EQ(back.q, key_pair_->private_key.q);
-  EXPECT_EQ(back.hp, key_pair_->private_key.hp);
-  EXPECT_EQ(back.hq, key_pair_->private_key.hq);
-  EXPECT_EQ(back.q_inv_p, key_pair_->private_key.q_inv_p);
-  BigUInt m(31337);
-  BigUInt c = PaillierEncrypt(key_pair_->public_key, m, rng_).ValueOrDie();
-  EXPECT_EQ(PaillierDecryptCrt(back, c).ValueOrDie(), m);
-}
-
-TEST_F(PaillierTest, ReadsLegacyPrivateKeyFormat) {
-  // The pre-CRT wire layout: n, lambda, mu with no version byte. A valid
-  // modulus starts with a limb-count varint >= 2, which is how the reader
-  // tells the two formats apart.
-  BinaryWriter w;
-  WriteBigUInt(&w, key_pair_->private_key.n);
-  WriteBigUInt(&w, key_pair_->private_key.lambda);
-  WriteBigUInt(&w, key_pair_->private_key.mu);
-  BinaryReader r(w.buffer());
-  PaillierPrivateKey back;
-  ASSERT_TRUE(ReadPaillierPrivateKey(&r, &back).ok());
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_FALSE(back.HasCrt());
-  EXPECT_EQ(back.n, key_pair_->private_key.n);
-  // Classic decryption still works (CRT transparently falls back).
-  BigUInt m(271828);
-  BigUInt c = PaillierEncrypt(key_pair_->public_key, m, rng_).ValueOrDie();
-  EXPECT_EQ(PaillierDecryptCrt(back, c).ValueOrDie(), m);
-}
-
-TEST_F(PaillierTest, SerializationRejectsInconsistentCrtBlock) {
-  PaillierPrivateKey tampered = key_pair_->private_key;
-  tampered.p += BigUInt(2);  // p * q no longer equals n.
-  BinaryWriter w;
-  WritePaillierPrivateKey(&w, tampered);
-  BinaryReader r(w.buffer());
-  PaillierPrivateKey back;
-  EXPECT_FALSE(ReadPaillierPrivateKey(&r, &back).ok());
 }
 
 }  // namespace

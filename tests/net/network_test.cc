@@ -219,5 +219,47 @@ TEST_F(NetworkTest, ResyncChannelSkipsStaleInFlightFrames) {
   EXPECT_EQ(net_.StashedCount(a_, b_), 0u);
 }
 
+// Every stale duplicate costs a transport attempt too, so the discard bound
+// only binds once a caller's attempt budget exceeds it.
+TEST_F(NetworkTest, StaleFloodAfterResyncEndsInProtocolErrorNamingChannel) {
+  net_.BeginRound("r1");
+  const int stale = kMaxDiscardsPerRecv + 6;
+  for (int i = 0; i < stale; ++i) {
+    ASSERT_TRUE(net_.SendFramed(a_, b_, ProtocolId::kSecureSum, 1, {1}).ok());
+  }
+  net_.ResyncChannel(a_, b_);
+  ASSERT_TRUE(net_.SendFramed(a_, b_, ProtocolId::kSecureSum, 2, {42}).ok());
+
+  RecvOptions opts;
+  opts.max_attempts = 1000;
+  auto flooded = net_.RecvValidated(b_, a_, ProtocolId::kSecureSum, 2, opts);
+  ASSERT_FALSE(flooded.ok());
+  EXPECT_EQ(flooded.status().code(), StatusCode::kProtocolError);
+  const std::string& msg = flooded.status().message();
+  EXPECT_NE(msg.find("A -> B"), std::string::npos) << msg;
+  const std::string cap = "after " + std::to_string(kMaxDiscardsPerRecv) + " attempt(s)";
+  EXPECT_NE(msg.find(cap), std::string::npos) << msg;
+  // The bound stopped the call without losing the fresh frame.
+  auto retried = net_.RecvValidated(b_, a_, ProtocolId::kSecureSum, 2, opts);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(retried.ValueOrDie()[0], 42);
+}
+
+TEST_F(NetworkTest, FreshFrameBehindFewerStaleThanTheDiscardBoundIsDelivered) {
+  net_.BeginRound("r1");
+  for (int i = 0; i < kMaxDiscardsPerRecv - 1; ++i) {
+    ASSERT_TRUE(net_.SendFramed(a_, b_, ProtocolId::kSecureSum, 1, {1}).ok());
+  }
+  net_.ResyncChannel(a_, b_);
+  ASSERT_TRUE(net_.SendFramed(a_, b_, ProtocolId::kSecureSum, 2, {42}).ok());
+
+  RecvOptions opts;
+  opts.max_attempts = 1000;
+  auto fresh = net_.RecvValidated(b_, a_, ProtocolId::kSecureSum, 2, opts);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh.ValueOrDie()[0], 42);
+  EXPECT_EQ(net_.PendingCount(), 0u);
+}
+
 }  // namespace
 }  // namespace psi

@@ -442,6 +442,26 @@ class CheckRunner {
   std::vector<Finding> findings_;
 };
 
+// True when token `i` sits inside an unclosed '(' of its statement, i.e. in
+// a parameter list, where a ',' ends the declaration instead of starting
+// another declarator.
+bool InParameterList(const std::vector<Token>& toks, size_t i) {
+  int depth = 0;
+  for (size_t k = i; k-- > 0;) {
+    const Token& t = toks[k];
+    if (t.kind != TokKind::kPunct) continue;
+    if (t.text == ")") {
+      ++depth;
+    } else if (t.text == "(") {
+      if (depth == 0) return true;
+      --depth;
+    } else if (depth == 0 && (t.text == ";" || t.text == "{" || t.text == "}")) {
+      return false;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 std::vector<std::string> CollectSecretNames(const LexedFile& file) {
@@ -451,6 +471,7 @@ std::vector<std::string> CollectSecretNames(const LexedFile& file) {
     if (toks[i].kind != TokKind::kIdent || toks[i].text != "PSI_SECRET") {
       continue;
     }
+    const bool parameter = InParameterList(toks, i);
     std::string last_ident;
     int angle_depth = 0;
     for (size_t j = i + 1; j < toks.size() && j < i + 128; ++j) {
@@ -460,7 +481,8 @@ std::vector<std::string> CollectSecretNames(const LexedFile& file) {
         if (t.text == ">") { if (angle_depth > 0) --angle_depth; continue; }
         if (t.text == ">>") { angle_depth = std::max(0, angle_depth - 2); continue; }
         if (angle_depth > 0) continue;  // Inside template args.
-        if (t.text == "," ) {
+        if (t.text == ",") {
+          if (parameter) break;  // The next parameter is not annotated.
           if (!last_ident.empty()) names.push_back(last_ident);
           last_ident.clear();
           continue;
